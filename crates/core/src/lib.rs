@@ -40,9 +40,8 @@ pub mod sync;
 pub use directory::{nodes_in, AckCollection, DirEntry, DirState, NodeSet};
 pub use machine::checker::StuckState;
 pub use machine::{
-    resume_sharded, try_run_sharded, try_run_sharded_until, Fault, Machine, MachineSnapshot,
-    ParallelOptions, Partition, RunResult, ShardedCheckpoint, ShardedRunOutcome, SnapshotError,
-    SnapshotRunError, SymbolicMemory, Violation, MIN_SNAPSHOT_VERSION, SNAPSHOT_VERSION,
+    Fault, Machine, MachineSnapshot, RunResult, SnapshotError, SymbolicMemory, Violation,
+    MIN_SNAPSHOT_VERSION, SNAPSHOT_VERSION,
 };
 pub use msg::{Msg, MsgKind, WriteGrant};
 // Fault-injection vocabulary, re-exported so harnesses need only lrc-core.

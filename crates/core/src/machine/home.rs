@@ -377,7 +377,7 @@ impl Machine {
         // Same ordering guard as `home_evict_notify`: only a delivery-
         // reordering mode (fault plan, checker exploration — see there) can
         // move a refetch ahead of this write-back, so the cross-node peek is
-        // gated to keep production shards independent.
+        // gated off in production runs, where FIFO channels rule it out.
         if !(self.delivery_reordering_possible()
             && (self.nodes[r].cache.contains(line)
                 || self.nodes[r].outstanding.contains_key(&line.0)))
@@ -401,7 +401,7 @@ impl Machine {
         // always postdates this point. Fault-plan retransmission or the
         // checker's interleaving exploration can reorder the two, so only
         // then do we consult the sender's authoritative cache state (a
-        // cross-node peek the sharded engine must never make).
+        // cross-node peek a FIFO run never needs).
         if self.delivery_reordering_possible()
             && (self.nodes[r].cache.contains(line)
                 || self.nodes[r].outstanding.contains_key(&line.0))

@@ -18,7 +18,6 @@ pub(crate) mod crash;
 mod home;
 pub(crate) mod invariants;
 pub(crate) mod obs;
-pub(crate) mod parallel;
 pub(crate) mod race;
 mod remote;
 pub(crate) mod snapshot;
@@ -28,10 +27,6 @@ pub(crate) mod values;
 pub(crate) mod xmit;
 
 pub use invariants::Violation;
-pub use parallel::{
-    resume_sharded, try_run_sharded, try_run_sharded_until, ParallelOptions, Partition,
-    ShardedCheckpoint, ShardedRunOutcome, SnapshotRunError,
-};
 pub use snapshot::{MachineSnapshot, SnapshotError, MIN_SNAPSHOT_VERSION, SNAPSHOT_VERSION};
 pub use values::SymbolicMemory;
 
@@ -148,11 +143,7 @@ pub struct RunResult {
     /// throughput = `events` / wall-clock).
     pub events: u64,
     /// High-water mark of the event queue (simulator working-set gauge).
-    /// For sharded runs, the max over shards.
     pub peak_queue_depth: usize,
-    /// Per-shard event-queue high-water marks: one entry per worker shard
-    /// (a single entry, equal to `peak_queue_depth`, for sequential runs).
-    pub peak_queue_depths: Vec<usize>,
     /// Wall-clock seconds spent inside the event loop itself — excludes
     /// workload construction, so it isolates kernel throughput.
     pub sim_wall_secs: f64,
@@ -193,8 +184,6 @@ pub struct Machine {
     pub(crate) max_cycles: u64,
     /// Sweep coherence invariants every N handled events (0 = off).
     pub(crate) check_every: u64,
-    /// Debug: eprintln every message concerning this line.
-    pub(crate) trace_line: Option<u64>,
     /// Observability: structured trace sink, latency probes, metrics
     /// sampler, and flight recorder. `None` (the default) keeps every
     /// hook to one never-taken branch — the zero-cost-when-off guarantee.
@@ -254,15 +243,9 @@ pub struct Machine {
     pub(crate) last_ni_reject: Option<(NodeId, usize, usize)>,
     /// Per-node monotone counters backing the deterministic event tie-break
     /// keys (see [`Machine::ev_key`]). One counter per node keeps the key
-    /// sequence a function of that node's protocol history alone — the
-    /// property that makes sequential and sharded runs assign identical
-    /// keys to identical events.
+    /// sequence a function of that node's protocol history alone. The
+    /// golden fingerprints pin the event order these keys produce.
     pub(crate) ev_seq: Vec<u64>,
-    /// Sharded-run context: which shard this replica is, the node→shard
-    /// map, and the outbox collecting cross-shard sends for the window
-    /// exchange. `None` in sequential runs (the only branch on the send
-    /// path costs one never-taken test).
-    pub(crate) shard: Option<Box<parallel::ShardCtx>>,
     /// Set as soon as the model checker drives this machine through
     /// [`Machine::step_choice`]: exploration fires pending events in
     /// arbitrary order, so channel-FIFO delivery assumptions no longer hold
@@ -304,7 +287,6 @@ impl Clone for Machine {
             finished: self.finished,
             max_cycles: self.max_cycles,
             check_every: self.check_every,
-            trace_line: self.trace_line,
             obs: self.obs.clone(),
             page_home: self.page_home.clone(),
             busy_info: self.busy_info.clone(),
@@ -326,8 +308,6 @@ impl Clone for Machine {
             pending_ni_retries: self.pending_ni_retries,
             last_ni_reject: self.last_ni_reject,
             ev_seq: self.ev_seq.clone(),
-            // Snapshots are checker state — always sequential.
-            shard: None,
             choice_driven: self.choice_driven,
             handled: self.handled,
             ops_consumed: self.ops_consumed.clone(),
@@ -377,7 +357,6 @@ impl Machine {
             finished: 0,
             max_cycles: u64::MAX / 4,
             check_every: 0,
-            trace_line: None,
             obs: None,
             page_home: LineMap::new(),
             busy_info: LineMap::new(),
@@ -397,7 +376,6 @@ impl Machine {
             pending_ni_retries: 0,
             last_ni_reject: None,
             ev_seq: vec![0; cfg.num_procs],
-            shard: None,
             choice_driven: false,
             handled: 0,
             ops_consumed: vec![0; cfg.num_procs],
@@ -505,12 +483,6 @@ impl Machine {
         self
     }
 
-    /// Debug aid: print every protocol message that concerns `line`.
-    pub fn with_trace_line(mut self, line: u64) -> Self {
-        self.trace_line = Some(line);
-        self
-    }
-
     /// Record a structured trace: every record passing `filter` lands in a
     /// bounded ring keeping the most recent `cap` entries. Retrieve it from
     /// the machine returned by [`Machine::run_keep`] via
@@ -560,18 +532,6 @@ impl Machine {
         let n = self.cfg.num_procs;
         self.obs_mut().recorder = Some(FlightRecorder::new(n, cap));
         self
-    }
-
-    /// Legacy trace entry point: record message *sends*, optionally only
-    /// those concerning `line`, into a `cap`-deep ring.
-    #[deprecated(note = "use with_trace_filter(TraceFilter::..., cap) instead")]
-    pub fn with_trace(self, line: Option<u64>, cap: usize) -> Self {
-        let filter = match line {
-            Some(l) => TraceFilter::line(l),
-            None => TraceFilter::all(),
-        }
-        .sends_only();
-        self.with_trace_filter(filter, cap)
     }
 
     /// The recorded trace (empty if tracing was off), sorted by
@@ -833,7 +793,6 @@ impl Machine {
             stats: self.stats.clone(),
             events: self.handled,
             peak_queue_depth: self.queue.peak_len(),
-            peak_queue_depths: vec![self.queue.peak_len()],
             sim_wall_secs: run_started.elapsed().as_secs_f64(),
             ni_peak_ingress,
             ni_peak_egress,
@@ -992,7 +951,6 @@ impl Machine {
                 .map(|r| r.render_tail())
                 .unwrap_or_default(),
             machine_dump: self.dump(),
-            shard_clocks: Vec::new(),
         }
     }
 
@@ -1016,9 +974,9 @@ impl Machine {
     /// high bits, that node's private monotone counter in the low 48.
     /// Same-cycle events pop in key order, so the total event order is a
     /// pure function of the simulated machine's history — independent of
-    /// queue insertion order, which is what lets the sharded engine ingest
-    /// cross-shard messages at window edges and still replay the sequential
-    /// kernel's order bit-for-bit.
+    /// queue insertion order. The golden fingerprints pin that order, and
+    /// it is what lets [`MachineSnapshot::restore`] re-insert a captured
+    /// queue in any order and still replay the uninterrupted run.
     #[inline]
     pub(crate) fn ev_key(&mut self, owner: NodeId) -> u64 {
         let s = self.ev_seq[owner];
@@ -1038,9 +996,8 @@ impl Machine {
     /// under an active fault plan, and the model checker's interleaving
     /// exploration (`pop_nth` choice points, NACK injection). The protocol's
     /// defensive cross-node peeks — stale evict hints, cancelled forwards —
-    /// are gated on this, so fault-free production runs stay free of
-    /// cross-node reads and remain shard-partitionable (`parallel_eligible`
-    /// excludes every reordering mode).
+    /// are gated on this, so fault-free production runs never read another
+    /// node's state to resolve a race that FIFO channels rule out.
     #[inline]
     pub(crate) fn delivery_reordering_possible(&self) -> bool {
         self.xmit.is_some() || self.choice_driven || self.nack_nth.is_some()
@@ -1117,11 +1074,6 @@ impl Machine {
             self.cfg.word_size as u64,
         );
         self.stats.procs[src].traffic.record(kind.traffic_class(), bytes);
-        if let (Some(tl), Some(l)) = (self.trace_line, kind.line()) {
-            if l.0 == tl {
-                eprintln!("[t={now}] {src}->{dst} {kind:?}");
-            }
-        }
         if self.obs.is_some() {
             self.obs_msg_send(now, src, dst, kind);
         }
@@ -1137,18 +1089,8 @@ impl Machine {
             .net
             .send(now, src, dst, bytes)
             .unwrap_or_else(|e| panic!("{e}"));
-        // The arrival time and tie key are both computed from sender-local
-        // state, so a cross-shard delivery carries everything the receiving
-        // shard needs to slot the message exactly where the sequential
-        // kernel would have.
         let key = self.ev_key(src);
-        let msg = Msg { src, dst, kind };
-        match self.shard.as_deref_mut() {
-            Some(sh) if sh.of_node[dst] != sh.id => {
-                sh.outbox.push(parallel::OutMsg { at: arrival, key, msg });
-            }
-            _ => self.queue.push(arrival, key, Event::Msg(msg)),
-        }
+        self.queue.push(arrival, key, Event::Msg(Msg { src, dst, kind }));
     }
 
     /// Hand `msg` to the finite-queue NI: accepted sends schedule delivery

@@ -273,8 +273,7 @@ impl Machine {
         // the episode served so the home knows a copy-back is coming and
         // must simply be awaited. In a production run the flag is never
         // consulted — our copy-back reaches the home ahead of any later
-        // request of ours on the same channel — and skipping the write
-        // keeps shards independent.
+        // request of ours on the same channel — so the write is skipped.
         if self.delivery_reordering_possible() {
             if let Some(e) = self.busy_info.get_mut(line.0) {
                 e.served = true;

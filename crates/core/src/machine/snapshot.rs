@@ -31,10 +31,6 @@
 //!   recorder is the one observer allowed: its ring contents are not saved
 //!   (they never affect simulation), and restore re-arms a default-depth
 //!   recorder that refills within a few thousand events.
-//!
-//! Sharded (conservative-PDES) runs snapshot at window edges, where every
-//! cross-shard channel is provably empty — see `machine::parallel` for the
-//! consistent-cut argument; each shard then captures here independently.
 
 use super::obs::DEFAULT_FLIGHT_CAP;
 use super::values::ValueTracker;
@@ -683,18 +679,8 @@ impl MachineSnapshot {
         if m.nack_nth.is_some() {
             return Err(unsupported("a nack_nth checker choice point is set"));
         }
-        if m.trace_line.is_some() {
-            return Err(unsupported("trace_line debugging is enabled"));
-        }
         if m.fault != Fault::None {
             return Err(unsupported("an injected protocol bug is active"));
-        }
-        if let Some(sh) = m.shard.as_deref() {
-            if !sh.outbox.is_empty() {
-                return Err(unsupported(
-                    "shard outbox is not empty (capture only at window edges)",
-                ));
-            }
         }
 
         let np = m.cfg.num_procs;

@@ -1,16 +1,11 @@
 //! Tests for the structured trace layer: record content, filters, ring
-//! capacity, ordering guarantees, and the deprecated legacy entry point.
+//! capacity, and ordering guarantees.
 
-use lrc_core::{Machine, RecData, TraceFilter, TraceRecord};
+use lrc_core::{Machine, RecData, TraceFilter};
 use lrc_sim::{MachineConfig, Op, Protocol, Script};
 
 fn addr(line: u64, word: u64) -> u64 {
     line * 128 + word * 4
-}
-
-/// Send records only, in trace order.
-fn sends(trace: &[TraceRecord]) -> Vec<&TraceRecord> {
-    trace.iter().filter(|r| matches!(r.data, RecData::Send { .. })).collect()
 }
 
 #[test]
@@ -159,28 +154,6 @@ fn tracing_off_returns_empty() {
     assert!(m.trace_records().is_empty());
     assert!(m.time_series().is_none());
     assert!(m.flight_tail().is_empty());
-}
-
-#[test]
-#[allow(deprecated)]
-fn legacy_with_trace_still_works() {
-    // The deprecated shim must behave like the old API: sends only,
-    // optionally restricted to one line.
-    let w = Script::new(
-        "t",
-        vec![vec![Op::Read(addr(0, 0)), Op::Read(addr(1, 0))], vec![]],
-    );
-    let m = Machine::new(MachineConfig::paper_default(2), Protocol::Erc)
-        .with_max_cycles(10_000_000)
-        .with_trace(Some(1), 1024);
-    let (_, m) = m.run_keep(Box::new(w));
-    let trace = m.trace_records();
-    assert!(!trace.is_empty());
-    for rec in &trace {
-        assert!(matches!(rec.data, RecData::Send { .. }), "{rec:?}");
-        assert_eq!(rec.line(), Some(1), "{rec:?}");
-    }
-    assert_eq!(sends(&trace).len(), trace.len());
 }
 
 #[test]

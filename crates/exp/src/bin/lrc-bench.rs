@@ -6,8 +6,8 @@
 //! changes can be compared against a committed baseline:
 //!
 //! ```text
-//! lrc-bench run     [--scale small] [--procs 16] [--reps 3] [--threads 1,2,4,8]
-//!                   [--mesh256] [--out BENCH_sim.json]
+//! lrc-bench run     [--scale small] [--procs 16] [--reps 3] [--mesh256]
+//!                   [--out BENCH_sim.json]
 //! lrc-bench compare [--scale small] [--procs 16] [--reps 3] [--out FILE]
 //!                   [--baseline BENCH_sim.json] [--tolerance 0.10]
 //! ```
@@ -25,21 +25,13 @@
 //! is simulated cycles divided by the *median* wall time of `--reps`
 //! repetitions (median, not mean, to shrug off scheduler noise).
 //!
-//! `--threads` takes a comma-separated sweep (e.g. `1,2,4,8`): the grid is
-//! measured once per thread count on the sharded parallel engine, the
-//! top-level numbers (and the compare gate) always come from the lowest
-//! thread count, and a `thread_sweep` section records each count's geomean
-//! plus its speedup over threads=1. Only the lowest count runs the full
-//! `--reps` repetitions; the other sweep points run once each. Simulated `total_cycles` must be
-//! bit-identical across every thread count — the harness asserts it.
-//! `host_cpus` records the machine's available parallelism so a sweep run
-//! on an oversubscribed host can be read honestly. `--mesh256` appends a
-//! `mesh256` section: one mp3d/lazy run on a 256-node (16×16) mesh at
-//! `large` scale with the sweep's highest thread count.
+//! `host_cpus` records the machine's available parallelism. `--mesh256`
+//! appends a `mesh256` section: one mp3d/lazy run on a 256-node (16×16)
+//! mesh at `large` scale.
 
 #![forbid(unsafe_code)]
 
-use lrc_exp::{execute_sharded, RunSpec};
+use lrc_exp::{execute, RunSpec};
 use lrc_json::{json, ToJson, Value};
 use lrc_sim::Protocol;
 use lrc_workloads::{Scale, WorkloadKind};
@@ -52,13 +44,7 @@ struct ComboResult {
     cycles_per_sec: f64,
 }
 
-fn measure_grid(
-    scale: Scale,
-    procs: usize,
-    reps: usize,
-    threads: usize,
-    verbose: bool,
-) -> Vec<ComboResult> {
+fn measure_grid(scale: Scale, procs: usize, reps: usize, verbose: bool) -> Vec<ComboResult> {
     let mut out = Vec::new();
     for &protocol in &Protocol::ALL {
         for workload in WorkloadKind::ALL {
@@ -68,14 +54,14 @@ fn measure_grid(
             for rep in 0..reps {
                 // The machine times its own event loop: this excludes
                 // workload construction, which is not the kernel under test.
-                let r = execute_sharded(&spec, threads);
+                let r = execute(&spec);
                 walls.push(r.sim_wall_secs);
                 if rep == 0 {
                     total_cycles = r.stats.total_cycles;
                 } else {
                     assert_eq!(
                         total_cycles, r.stats.total_cycles,
-                        "nondeterministic run: {workload}/{protocol} @ {threads} threads"
+                        "nondeterministic run: {workload}/{protocol}"
                     );
                 }
             }
@@ -103,15 +89,14 @@ fn measure_grid(
 }
 
 /// The 256-node (16×16 mesh) scaling run: one mp3d/lazy simulation at
-/// `large` scale on the sharded engine. One repetition — this records that
-/// the engine takes a 256-node machine end to end and how fast, it is not
-/// a gated benchmark.
-fn measure_mesh256(threads: usize, verbose: bool) -> Value {
+/// `large` scale. One repetition — this records that the kernel takes a
+/// 256-node machine end to end and how fast, it is not a gated benchmark.
+fn measure_mesh256(verbose: bool) -> Value {
     let spec = RunSpec::new(Protocol::Lrc, WorkloadKind::Mp3d, Scale::Large, 256);
     if verbose {
-        eprintln!("-- mesh256: mp3d/{} @ scale=large procs=256 threads={threads}", spec.protocol);
+        eprintln!("-- mesh256: mp3d/{} @ scale=large procs=256", spec.protocol);
     }
-    let r = execute_sharded(&spec, threads);
+    let r = execute(&spec);
     let cps = r.stats.total_cycles as f64 / r.sim_wall_secs.max(1e-9);
     if verbose {
         eprintln!(
@@ -127,7 +112,6 @@ fn measure_mesh256(threads: usize, verbose: bool) -> Value {
         "protocol": spec.protocol.name(),
         "scale": "large",
         "procs": 256,
-        "threads": threads,
         "total_cycles": r.stats.total_cycles,
         "events": r.events,
         "wall_ms": r.sim_wall_secs * 1e3,
@@ -172,20 +156,11 @@ fn today_utc() -> String {
     format!("{y:04}-{m:02}-{d:02}")
 }
 
-/// One measured thread count of the sweep: the grid's geomean at that
-/// count, and its speedup over the threads=1 grid.
-struct SweepPoint {
-    threads: usize,
-    geomean_cycles_per_sec: f64,
-    speedup_vs_threads1: f64,
-}
-
 fn report_json(
     scale: Scale,
     procs: usize,
     reps: usize,
     combos: &[ComboResult],
-    sweep: &[SweepPoint],
     mesh256: Option<Value>,
 ) -> Value {
     let rows: Vec<Value> = combos
@@ -197,16 +172,6 @@ fn report_json(
                 "total_cycles": c.total_cycles,
                 "median_wall_ms": c.median_wall_ms,
                 "cycles_per_sec": c.cycles_per_sec,
-            })
-        })
-        .collect();
-    let sweep_rows: Vec<Value> = sweep
-        .iter()
-        .map(|p| {
-            json!({
-                "threads": p.threads,
-                "geomean_cycles_per_sec": p.geomean_cycles_per_sec,
-                "speedup_vs_threads1": p.speedup_vs_threads1,
             })
         })
         .collect();
@@ -232,17 +197,13 @@ fn report_json(
         "combos": rows,
         "geomean_cycles_per_sec": geomean(combos),
     });
-    if !sweep_rows.is_empty() {
-        report.set("thread_sweep", sweep_rows);
-    }
     if let Some(m) = mesh256 {
         report.set("mesh256", m);
     }
     report
 }
 
-/// The host's available parallelism — recorded so a sweep measured on an
-/// oversubscribed machine (threads > cores) can be read honestly.
+/// The host's available parallelism, recorded as measurement provenance.
 fn host_cpus() -> usize {
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
 }
@@ -331,7 +292,6 @@ fn main() {
     let mut baseline = "BENCH_sim.json".to_string();
     let mut tolerance = 0.10f64;
     let mut verbose = true;
-    let mut threads: Vec<usize> = vec![1];
     let mut mesh256 = false;
 
     let mut i = 0;
@@ -370,18 +330,6 @@ fn main() {
                     die("--tolerance must be in [0, 1)");
                 }
             }
-            "--threads" => {
-                let v = flag_value(&args, &mut i, "--threads");
-                threads = v
-                    .split(',')
-                    .map(|t| parse_flag::<usize>(t, "--threads", "a comma-separated list like 1,2,4,8"))
-                    .collect();
-                if threads.is_empty() || threads.contains(&0) {
-                    die("--threads entries must be positive");
-                }
-                threads.sort_unstable();
-                threads.dedup();
-            }
             "--mesh256" => mesh256 = true,
             "--quiet" => verbose = false,
             other => die(&format!("unknown argument '{other}'")),
@@ -392,7 +340,7 @@ fn main() {
     let Some(mode) = mode else {
         eprintln!(
             "usage: lrc-bench <run|compare> [--scale paper|large|medium|small|tiny] [--procs N] \
-             [--reps N] [--threads LIST] [--mesh256] [--out FILE] [--baseline FILE] \
+             [--reps N] [--mesh256] [--out FILE] [--baseline FILE] \
              [--tolerance FRACTION] [--quiet]"
         );
         std::process::exit(2);
@@ -400,68 +348,16 @@ fn main() {
 
     if verbose {
         eprintln!(
-            "lrc-bench {mode}: {}×{} grid @ scale={} procs={procs} reps={reps} threads={threads:?}",
+            "lrc-bench {mode}: {}×{} grid @ scale={} procs={procs} reps={reps}",
             Protocol::ALL.len(),
             WorkloadKind::ALL.len(),
             scale.name()
         );
     }
-    // Measure the grid once per requested thread count. The lowest count
-    // (normally 1) is the report's headline grid and the compare-gate
-    // subject; higher counts only contribute sweep points.
-    let mut grids: Vec<(usize, Vec<ComboResult>)> = Vec::new();
-    for (k, &t) in threads.iter().enumerate() {
-        if verbose && threads.len() > 1 {
-            eprintln!("-- threads={t}");
-        }
-        // Full repetitions only for the headline grid: the sweep points are
-        // informational (and cycle-checked), not gated, so one repetition
-        // per extra thread count keeps a 4-point sweep affordable.
-        let grid_reps = if k == 0 { reps } else { 1 };
-        grids.push((t, measure_grid(scale, procs, grid_reps, t, verbose)));
-    }
-    let combos = &grids[0].1;
-    // Simulated time is the simulation's *output*: it must not depend on
-    // how many worker threads the host happened to use.
-    for (t, grid) in &grids[1..] {
-        for (a, b) in combos.iter().zip(grid) {
-            assert_eq!(
-                a.total_cycles, b.total_cycles,
-                "{}/{} simulated cycles diverged between threads={} and threads={t}",
-                b.workload, b.protocol, threads[0]
-            );
-        }
-    }
-    let base_geo = geomean(combos);
-    let sweep: Vec<SweepPoint> = if grids.len() > 1 {
-        grids
-            .iter()
-            .map(|(t, grid)| {
-                let g = geomean(grid);
-                SweepPoint {
-                    threads: *t,
-                    geomean_cycles_per_sec: g,
-                    speedup_vs_threads1: g / base_geo.max(1.0),
-                }
-            })
-            .collect()
-    } else {
-        Vec::new()
-    };
-    if verbose {
-        for p in &sweep {
-            eprintln!(
-                "  threads={:<2} geomean {:.1} Mcyc/s ({:.2}x vs threads={})",
-                p.threads,
-                p.geomean_cycles_per_sec / 1e6,
-                p.speedup_vs_threads1,
-                threads[0]
-            );
-        }
-    }
-    let mesh = if mesh256 { Some(measure_mesh256(threads.iter().copied().max().unwrap_or(1), verbose)) } else { None };
-    let geo = base_geo;
-    let report = report_json(scale, procs, reps, combos, &sweep, mesh);
+    let combos = measure_grid(scale, procs, reps, verbose);
+    let mesh = mesh256.then(|| measure_mesh256(verbose));
+    let geo = geomean(&combos);
+    let report = report_json(scale, procs, reps, &combos, mesh);
     if verbose {
         eprintln!("  geomean {:.1} Mcyc/s over {} combinations", geo / 1e6, combos.len());
     }

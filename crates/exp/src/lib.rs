@@ -22,6 +22,6 @@ pub use report::{
     metrics, paper_stats, regeneration_index_md, render_html, report_json, splice_index_md,
     ExpStats, Metric, Report, ReportMeta, Table, REPORT_SCHEMA,
 };
-pub use runner::{execute, execute_sharded, RunSpec, Runner};
+pub use runner::{execute, RunSpec, Runner};
 pub use stats::{cohen_d, holm_adjust, paired_permutation_p, summarize, Effect, Summary};
 pub use store::{CheckFailure, IndexEntry, Store, StoreError};

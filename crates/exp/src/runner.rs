@@ -69,42 +69,6 @@ pub fn execute(spec: &RunSpec) -> RunResult {
     m.run(w)
 }
 
-/// Execute one run on the sharded parallel engine with `threads` workers
-/// (`threads <= 1` runs the sequential kernel directly). Results are
-/// bit-identical to [`execute`] by construction; a configuration the
-/// sharded engine cannot take (e.g. classification on) falls back to the
-/// sequential kernel inside `try_run_sharded` itself.
-///
-/// # Panics
-///
-/// Panics with the structured diagnosis if the machine wedges — a benchmark
-/// run has no business stalling.
-pub fn execute_sharded(spec: &RunSpec, threads: usize) -> RunResult {
-    if threads <= 1 {
-        return execute(spec);
-    }
-    let spec = spec.clone();
-    let build = {
-        let spec = spec.clone();
-        move || {
-            let mut m = Machine::new(spec.machine_config(), spec.protocol)
-                .with_max_cycles(200_000_000_000);
-            if spec.classify {
-                m = m.with_classification();
-            }
-            m
-        }
-    };
-    let workload = {
-        let spec = spec.clone();
-        move || spec.workload.build_seeded(spec.procs, spec.scale, spec.seed)
-    };
-    lrc_core::try_run_sharded(&build, &workload, &lrc_core::ParallelOptions::threads(threads))
-        .unwrap_or_else(|diag| {
-            panic!("{} / {} stalled under {threads} threads: {diag}", spec.workload, spec.protocol)
-        })
-}
-
 /// A memoizing parallel runner.
 pub struct Runner {
     cache: Arc<Mutex<HashMap<String, Arc<RunResult>>>>,
@@ -177,24 +141,9 @@ impl Runner {
                         let started = std::time::Instant::now();
                         let result = Arc::new(execute(spec));
                         if verbose {
-                            // Queue depth is tracked per shard: report the
-                            // hottest shard's high-water mark and, for
-                            // sharded runs, the total footprint across all
-                            // shards (a single shard's sum equals its max).
-                            let peaks = &result.peak_queue_depths;
-                            let peak_sum: usize = peaks.iter().sum();
-                            let peak_max = peaks.iter().copied().max().unwrap_or(0);
-                            let depth = if peaks.len() > 1 {
-                                format!(
-                                    "peak queue depth {peak_max} (hottest of {} shards, {peak_sum} total)",
-                                    peaks.len()
-                                )
-                            } else {
-                                format!("peak queue depth {peak_max}")
-                            };
                             eprintln!(
                                 "  done    {} / {}: {} cycles in {:.1?} \
-                                 ({:.2} Mevents/s, {depth})",
+                                 ({:.2} Mevents/s, peak queue depth {})",
                                 spec.workload,
                                 spec.protocol,
                                 result.stats.total_cycles,
@@ -202,6 +151,7 @@ impl Runner {
                                 result.events as f64
                                     / result.sim_wall_secs.max(1e-9)
                                     / 1e6,
+                                result.peak_queue_depth,
                             );
                         }
                         Self::lock_cache(&cache).insert(spec.key(), result);

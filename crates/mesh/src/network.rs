@@ -8,9 +8,7 @@
 //! each message it injects; receiver-side contention is modelled where the
 //! message is consumed (the destination's protocol processor and memory
 //! occupancy, charged by the machine's handlers). That makes an arrival
-//! time a pure function of sender-local state — the property the parallel
-//! engine's conservative lookahead depends on: a shard can bound every
-//! future cross-shard arrival without consulting receiver state.
+//! time a pure function of sender-local state.
 //!
 //! The network optionally carries a [`FaultPlan`]: when one is installed
 //! and active, [`Network::send_classed`] consults the deterministic
@@ -250,15 +248,6 @@ impl Network {
             return 1;
         }
         self.mesh.hops(src, dst) * (self.switch + self.wire) + self.occupancy(bytes)
-    }
-
-    /// Conservative lower bound on the delivery latency of any cross-node
-    /// message of at least `min_bytes`: one hop of head latency plus the
-    /// minimum serialization time. Every cross-node send issued at `t`
-    /// completes no earlier than `t + min_cross_latency(..)` — the
-    /// parallel engine's lookahead window.
-    pub fn min_cross_latency(&self, min_bytes: u64) -> u64 {
-        self.switch + self.wire + self.occupancy(min_bytes)
     }
 
     /// Validate that both endpoints exist in this machine.
@@ -581,9 +570,6 @@ mod tests {
         let t2 = net.send(0, 2, 5, 128).unwrap();
         assert_eq!(t1, net.base_latency(1, 5, 128));
         assert_eq!(t2, net.base_latency(2, 5, 128));
-        // And every cross-node arrival respects the lookahead bound.
-        let w = net.min_cross_latency(128);
-        assert!(t1 >= w && t2 >= w);
     }
 
     #[test]

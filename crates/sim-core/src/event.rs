@@ -3,10 +3,9 @@
 //! Events fire in nondecreasing time order; events scheduled for the same
 //! cycle fire in ascending **tie-key** order. The key is supplied by the
 //! caller at push time and makes the queue's total order independent of
-//! insertion order — the property the parallel engine needs: a sequential
-//! run that pushes an event mid-window and a sharded run that ingests the
-//! same event at a window boundary land it at the same position, so
-//! whole-machine simulations are bit-reproducible across engines.
+//! insertion order. The golden fingerprints pin that order, and a snapshot
+//! restore that re-inserts a captured queue in its own order lands every
+//! event at the position it held before the capture.
 //!
 //! # Two-tier calendar-queue implementation
 //!
@@ -515,7 +514,7 @@ mod tests {
     #[test]
     fn same_time_key_order_is_insertion_independent() {
         // The same set of (time, key) pairs pushed in two different orders
-        // pops identically — the property the parallel engine relies on.
+        // pops identically — what a snapshot restore relies on.
         // 100 same-cycle events also crosses TINY_MAX, covering the
         // mid-stream promotion path splitting one run across tiers.
         let mut fwd = EventQueue::new();

@@ -251,7 +251,8 @@ impl FaultStats {
         *self == FaultStats::default()
     }
 
-    /// Accumulate another counter set into this one (shard merge).
+    /// Add another counter set into this one, field by field (e.g. to
+    /// total several runs).
     pub fn merge(&mut self, other: &FaultStats) {
         self.dropped += other.dropped;
         self.duplicated += other.duplicated;
@@ -353,24 +354,6 @@ impl ResourceStats {
             && overflow_fallbacks == 0
             && overflow_invalidations == 0
     }
-
-    /// Accumulate another counter set into this one (shard merge):
-    /// pressure counters add, the peak gauges take the maximum — each
-    /// pending-inval set and parked queue lives on exactly one shard, so
-    /// the global peak is the max of the per-shard peaks.
-    pub fn merge(&mut self, other: &ResourceStats) {
-        self.busy_nacks += other.busy_nacks;
-        self.nack_retries += other.nack_retries;
-        self.nack_park_fallbacks += other.nack_park_fallbacks;
-        self.ni_rejects += other.ni_rejects;
-        self.ni_retries += other.ni_retries;
-        self.backpressure_stall_cycles += other.backpressure_stall_cycles;
-        self.wn_overflows += other.wn_overflows;
-        self.overflow_fallbacks += other.overflow_fallbacks;
-        self.overflow_invalidations += other.overflow_invalidations;
-        self.peak_pending_invals = self.peak_pending_invals.max(other.peak_pending_invals);
-        self.peak_parked = self.peak_parked.max(other.peak_parked);
-    }
 }
 
 /// Everything recorded about one simulated processor.
@@ -415,13 +398,10 @@ pub struct ProcStats {
 }
 
 impl ProcStats {
-    /// Accumulate another row for the *same* processor into this one
-    /// (shard merge). Every shard replica carries rows for all processors;
-    /// a non-owner's row is zero except for the few counters the protocol
-    /// attributes at a third party (e.g. `three_hop`, charged to the
-    /// requester by the *home's* handler), so straight addition reproduces
-    /// the sequential row. `finish_time` is a timestamp, not a count: only
-    /// the owner ever sets it, and `max` selects it.
+    /// Accumulate another processor row into this one (e.g. to total a
+    /// run's processors or several runs): counters add, and
+    /// `finish_time`, a timestamp rather than a count, takes the later of
+    /// the two.
     pub fn merge(&mut self, other: &ProcStats) {
         self.breakdown.merge(&other.breakdown);
         self.refs += other.refs;
@@ -901,24 +881,6 @@ impl MachineStats {
             races: RaceStats::default(),
             crashes: CrashStats::default(),
         }
-    }
-
-    /// Fold another shard's statistics into this one: per-processor rows
-    /// merge row-wise (see [`ProcStats::merge`]), machine-level counters
-    /// add, peaks take the max. `total_cycles` is *not* recomputed here —
-    /// the caller derives it from the merged finish times.
-    pub fn merge_shard(&mut self, other: &MachineStats) {
-        assert_eq!(self.procs.len(), other.procs.len(), "shard stats for different machines");
-        for (mine, theirs) in self.procs.iter_mut().zip(other.procs.iter()) {
-            mine.merge(theirs);
-        }
-        self.faults.merge(&other.faults);
-        self.resources.merge(&other.resources);
-        self.latencies.merge(&other.latencies);
-        // Race detection and crash plans are sequential-only; a shard merge
-        // never sees either non-zero on any side.
-        debug_assert!(other.races.is_zero());
-        debug_assert!(other.crashes.is_zero());
     }
 
     /// Aggregate cycle breakdown over all processors (the figure-5 metric).

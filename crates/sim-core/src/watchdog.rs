@@ -134,11 +134,6 @@ pub struct StallDiagnosis {
     pub recent_events: Vec<String>,
     /// Full machine-state dump (directory, buffers, parked requests).
     pub machine_dump: String,
-    /// Sharded runs only: each shard's local clock (its next pending event
-    /// time) when the run stopped, indexed by shard. A wedged shard shows
-    /// up as the one pinning the global lower bound while the others have
-    /// run ahead or drained (`u64::MAX`). Empty for sequential runs.
-    pub shard_clocks: Vec<Cycle>,
 }
 
 impl std::fmt::Display for StallDiagnosis {
@@ -157,17 +152,6 @@ impl std::fmt::Display for StallDiagnosis {
         }
         for m in &self.abandoned_msgs {
             writeln!(f, "  abandoned: {m}")?;
-        }
-        if !self.shard_clocks.is_empty() {
-            write!(f, "  shard clocks:")?;
-            for (s, c) in self.shard_clocks.iter().enumerate() {
-                if *c == Cycle::MAX {
-                    write!(f, " S{s}=drained")?;
-                } else {
-                    write!(f, " S{s}=t{c}")?;
-                }
-            }
-            writeln!(f)?;
         }
         if !self.recent_events.is_empty() {
             writeln!(f, "  last {} events before the stall:", self.recent_events.len())?;
@@ -198,7 +182,6 @@ mod tests {
             pending_events: 0,
             recent_events: vec!["[t=  1200] P0 -> P1 LockRel".into()],
             machine_dump: "protocol=lazy t=1234\n".into(),
-            shard_clocks: Vec::new(),
         }
     }
 

@@ -38,10 +38,10 @@ pub enum Op {
 ///
 /// Implementations must be deterministic: `next_op(p)` depends only on the
 /// sequence of previous calls for processor `p`, never on simulated time.
-/// That per-processor independence is also what lets the sharded parallel
-/// engine give each shard its own instance and advance only its own
-/// processors' streams. `Send` is required so machines (which own their
-/// workload) can move onto worker threads.
+/// That per-processor independence is also what lets a snapshot restore
+/// fast-forward a fresh instance by replaying each processor's consumed-op
+/// count. `Send` is required so machines (which own their workload) can
+/// move onto worker threads.
 pub trait Workload: Send {
     /// Short stable name (used in reports: `gauss`, `fft`, ...).
     fn name(&self) -> &str;

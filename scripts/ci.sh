@@ -2,6 +2,7 @@
 # The repo's CI gate, runnable locally and in any runner. Fully offline:
 # every dependency is an in-workspace path crate.
 #
+#   offline — neither lockfile may name a registry or git package
 #   tier 1  — workspace release build + root-package tests (the seed
 #             gate; --workspace so the crates/exp binaries lrc-bench,
 #             lrc-soak, and lrc-check are built here too, not silently
@@ -15,6 +16,17 @@
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+echo "==> offline: lockfiles hold only in-repo path crates"
+# Cargo writes a `source = ` line into the lockfile entry of every registry
+# or git package; path crates have none. Name each offender.
+external=$(awk '/^name = /{name=$3} /^source = /{gsub(/"/, "", name); print FILENAME ": " name}' \
+  Cargo.lock perfbench/Cargo.lock)
+if [ -n "$external" ]; then
+  echo "lockfile names a non-path package (the build must stay offline):" >&2
+  echo "$external" >&2
+  exit 1
+fi
 
 echo "==> tier 1: workspace release build + root tests"
 cargo build --workspace --release
@@ -50,20 +62,6 @@ smoke=$(mktemp /tmp/bench_smoke.XXXXXX.json)
 grep -q '"schema": "lrc-bench-v1"' "$smoke"
 rm -f "$smoke"
 
-echo "==> parallel smoke: sharded engine vs sequential at tiny scale"
-# The sharded engine's contract is bit-identity, so the smoke check IS a
-# fingerprint cross-check: a threaded tiny-scale sweep (threads=1,2) whose
-# per-combo simulated cycle counts the harness asserts identical across
-# thread counts, plus the cross-protocol equivalence suite (full-statistics
-# fingerprints at 2/4/8 threads, adversarial strided partition, fault-plan
-# fallback, wedged-shard stall diagnosis).
-psmoke=$(mktemp /tmp/parallel_smoke.XXXXXX.json)
-./target/release/lrc-bench run --scale tiny --procs 16 --reps 1 \
-  --threads 1,2 --quiet --out "$psmoke"
-grep -q '"thread_sweep"' "$psmoke"
-rm -f "$psmoke"
-cargo test -q --test parallel_equiv
-
 echo "==> soak smoke: lrc-soak --smoke (fault injection + value verification)"
 # Tiny seeded chaos sweep: rates {0, 1e-3} x all four protocols, every run
 # checked against the reference SC execution and reproduced bit-identically,
@@ -74,9 +72,9 @@ echo "==> soak smoke: lrc-soak --smoke (fault injection + value verification)"
 echo "==> snapshot smoke: restore bit-identity + kill-and-resume soak"
 # First the hard contract: checkpoint mid-run, restore, run to completion,
 # fingerprint equals the uninterrupted golden run — all four protocols,
-# sequential and sharded (2/4 threads), with and without a fault plan —
-# plus the serialization pins (byte-identical round trips, typed errors
-# for unknown versions / truncation / corruption).
+# with and without a fault plan — plus the serialization pins
+# (byte-identical round trips, typed errors for unknown versions /
+# truncation / corruption).
 cargo test -q --test snapshot_restore
 # Then the crash-resumable sweep. Cell markers are written atomically and
 # in sweep order after each verdict, so a journal prefix is byte-for-byte

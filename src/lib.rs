@@ -55,10 +55,9 @@ pub use lrc_workloads as workloads;
 /// Everything you need to configure and run a simulation.
 pub mod prelude {
     pub use lrc_core::{
-        resume_sharded, try_run_sharded, try_run_sharded_until, CrashPlan, Fault, FaultPlan,
-        FaultRates, Machine, MachineSnapshot, MsgClass, ParallelOptions, Partition, RunResult,
-        ShardedCheckpoint, ShardedRunOutcome, SnapshotError, SnapshotRunError, StallDiagnosis,
-        StallReason, TraceFilter, TraceRecord, MIN_SNAPSHOT_VERSION, SNAPSHOT_VERSION,
+        CrashPlan, Fault, FaultPlan, FaultRates, Machine, MachineSnapshot, MsgClass, RunResult,
+        SnapshotError, StallDiagnosis, StallReason, TraceFilter, TraceRecord, MIN_SNAPSHOT_VERSION,
+        SNAPSHOT_VERSION,
     };
     pub use lrc_sim::{
         Breakdown, FaultStats, MachineConfig, MachineStats, MissClass, Op, Placement, ProcStats,

@@ -1,8 +1,7 @@
 //! Checkpoint/restore suite: a run paused at a snapshot and resumed must be
 //! **bit-identical** to the uninterrupted run — same cycle counts, same
 //! per-processor finish times, same traffic totals, same event count — for
-//! every protocol, on the sequential kernel and the sharded engine, with
-//! and without an active fault plan.
+//! every protocol, with and without an active fault plan.
 //!
 //! This is the hard robustness requirement of the snapshot subsystem: a
 //! checkpoint is a pause in the same simulated history, not a perturbation
@@ -16,9 +15,9 @@ use lazy_rc::workloads::Scale;
 
 const PROCS: usize = 8;
 
-/// Condensed result fingerprint (the parallel-equivalence suite's, minus
-/// nothing): totals plus per-processor detail, so divergence anywhere in
-/// the machine shows up even when aggregate counters collide.
+/// Condensed result fingerprint: totals plus per-processor detail, so
+/// divergence anywhere in the machine shows up even when aggregate
+/// counters collide.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct Fp {
     total_cycles: u64,
@@ -95,36 +94,26 @@ fn uninterrupted(proto: Protocol, plan: PlanCtor) -> (Fp, u64) {
     (fp(&r), total)
 }
 
-/// The tentpole bar: checkpoint mid-run, resume, and demand the resumed
-/// result be bit-identical to the uninterrupted run — across engines.
-/// `threads = 1` exercises the sequential kernel's pause-exact cut;
-/// `threads = 2, 4` the sharded engine's window-edge consistent cut (which
-/// under a fault plan deterministically falls back to the sequential
-/// kernel, checkpointing there instead).
+/// The core contract: pause a run at the uninterrupted run's midpoint,
+/// snapshot it, restore the snapshot into a fresh machine, run that to
+/// completion, and demand the result be bit-identical to the uninterrupted
+/// run.
 fn assert_checkpoint_resume_matches(proto: Protocol, plan: PlanCtor) {
     let (want, total) = uninterrupted(proto, plan);
     let at = total / 2;
-    for threads in [1usize, 2, 4] {
-        let opts = ParallelOptions::threads(threads);
-        let outcome =
-            try_run_sharded_until(&move || build(proto, plan), &workload, &opts, at)
-                .expect("checkpointing run neither stalled nor refused");
-        let ckpt = match outcome {
-            ShardedRunOutcome::Checkpointed(c) => c,
-            ShardedRunOutcome::Completed(_) => {
-                panic!("{proto} @ {threads} threads finished before cycle {at}")
-            }
-        };
-        assert_eq!(ckpt.shards.len(), ckpt.threads.max(1));
-        let resumed = resume_sharded(&workload, &ckpt).expect("resumed run completed");
-        assert_eq!(
-            fp(&resumed),
-            want,
-            "{proto} @ {threads} threads: resume diverged from the uninterrupted run \
-             (fault plan: {})",
-            plan.is_some()
-        );
-    }
+    let mut m = build(proto, plan);
+    m.start_run(workload());
+    let paused = m.run_until(at).expect("no stall before the checkpoint");
+    assert!(paused, "{proto} finished before cycle {at}");
+    let snap = m.snapshot().expect("mid-run capture");
+    drop(m);
+    let resumed = finish(snap.restore(workload()).expect("restore"));
+    assert_eq!(
+        fp(&resumed),
+        want,
+        "{proto}: resume diverged from the uninterrupted run (fault plan: {})",
+        plan.is_some()
+    );
 }
 
 #[test]
