@@ -331,9 +331,10 @@ impl Machine {
     /// Build a machine for `cfg` running `protocol`.
     ///
     /// # Panics
-    /// If the configuration is invalid or has more than 64 processors (the
-    /// directory uses 64-bit sharer masks, like most directories of the
-    /// paper's era used limited pointers).
+    /// If the configuration is invalid or has more processors than a
+    /// directory sharer set holds ([`NodeSet::CAPACITY`], 256).
+    ///
+    /// [`NodeSet::CAPACITY`]: crate::directory::NodeSet::CAPACITY
     pub fn new(cfg: MachineConfig, protocol: Protocol) -> Self {
         cfg.validate().expect("invalid machine configuration");
         assert!(

@@ -72,7 +72,7 @@
 #![forbid(unsafe_code)]
 
 use lrc_core::{CrashPlan, FaultPlan, FaultRates, Machine, MachineSnapshot, MsgClass, StallDiagnosis};
-use lrc_json::Value;
+use lrc_json::{json_struct, Ctx, Dec, DecodeError, FromJson, ToJson, Value, Wire};
 use lrc_sim::refint;
 use lrc_sim::{MachineConfig, MachineStats, Op, Protocol, ResourceLimits, Rng, Script};
 use std::fs;
@@ -722,29 +722,23 @@ struct CellRecord {
     retries: u64,
 }
 
-impl CellRecord {
-    fn to_json(&self) -> Value {
-        Value::Object(vec![
-            ("outcome".to_string(), Value::Str(if self.ok { "ok" } else { "fail" }.to_string())),
-            ("injected".to_string(), Value::Str(self.injected.to_string())),
-            ("retries".to_string(), Value::Str(self.retries.to_string())),
-            ("line".to_string(), Value::Str(self.line.clone())),
-        ])
-    }
+/// A cell verdict travels as `"ok"` or `"fail"`.
+enum Verdict {}
 
-    fn from_json(v: &Value) -> Option<CellRecord> {
-        Some(CellRecord {
-            ok: match v["outcome"].as_str()? {
-                "ok" => true,
-                "fail" => false,
-                _ => return None,
-            },
-            injected: v["injected"].as_str()?.parse().ok()?,
-            retries: v["retries"].as_str()?.parse().ok()?,
-            line: v["line"].as_str()?.to_string(),
-        })
+impl Wire<bool> for Verdict {
+    fn encode(ok: &bool) -> Value {
+        Value::from(if *ok { "ok" } else { "fail" })
+    }
+    fn decode(v: &Value, _: Ctx) -> Result<bool, DecodeError> {
+        match v.as_str() {
+            Some("ok") => Ok(true),
+            Some("fail") => Ok(false),
+            _ => Err(DecodeError::expected("\"ok\" or \"fail\"")),
+        }
     }
 }
+
+json_struct!(CellRecord { ok as "outcome": Verdict, injected: Dec, retries: Dec, line });
 
 /// The crash-resumable sweep journal: one marker file per completed cell,
 /// written atomically (tmp + rename) *after* the cell's verdict, so a kill

@@ -16,12 +16,6 @@
 //!                [--index-md PATH]
 //! ```
 //!
-//! Migrate pre-store `results/{small,medium,paper}` JSON artifacts:
-//!
-//! ```text
-//! lrc-exp migrate [--results DIR] [--store DIR]
-//! ```
-//!
 //! `--trace-dir DIR` splits the `observe` experiment's artifacts into
 //! standalone files: `observe.perfetto.json` (load in Perfetto / Chrome
 //! `about:tracing`), `observe.jsonl`, `observe.timeseries.csv`, and
@@ -44,7 +38,6 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let code = match args.first().map(String::as_str) {
         Some("report") => report_cmd(&args[1..]),
-        Some("migrate") => migrate_cmd(&args[1..]),
         _ => run_cmd(&args),
     };
     exit(code);
@@ -56,8 +49,7 @@ fn usage() -> i32 {
          [--threads N] [--seeds N] [--store DIR] [--timestamp T] [--json DIR] \
          [--trace-dir DIR] [--quiet]\n\
          \x20      lrc-exp report [--store DIR] [--out FILE] [--baseline SERIES] [--check] \
-         [--index-md PATH]\n\
-         \x20      lrc-exp migrate [--results DIR] [--store DIR]"
+         [--index-md PATH]"
     );
     eprintln!("experiments: {}", experiments::ALL_IDS.join(" "));
     2
@@ -360,87 +352,5 @@ fn report_cmd(args: &[String]) -> i32 {
         return 1;
     }
     eprintln!("wrote {}", json_path.display());
-    0
-}
-
-// ---------------------------------------------------------------------------
-// `lrc-exp migrate` — pull legacy results/ JSONs into the store.
-// ---------------------------------------------------------------------------
-
-fn migrate_cmd(args: &[String]) -> i32 {
-    let mut results = "results".to_string();
-    let mut store_dir: Option<String> = None;
-
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--results" => results = flag_value(args, &mut i, "--results").to_string(),
-            "--store" => store_dir = Some(flag_value(args, &mut i, "--store").to_string()),
-            _ => return usage(),
-        }
-        i += 1;
-    }
-    let store_dir = store_dir.unwrap_or_else(|| format!("{results}/store"));
-    let store = open_store("--store", &store_dir);
-
-    let mut migrated = 0usize;
-    for scale in ["small", "medium", "paper"] {
-        let dir = Path::new(&results).join(scale);
-        let Ok(entries) = std::fs::read_dir(&dir) else { continue };
-        let mut files: Vec<PathBuf> = entries
-            .filter_map(|e| e.ok().map(|e| e.path()))
-            .filter(|p| p.extension().is_some_and(|x| x == "json"))
-            .collect();
-        files.sort();
-        for path in files {
-            let Some(id) = path.file_stem().and_then(|s| s.to_str()).map(str::to_string) else {
-                continue;
-            };
-            let text = match std::fs::read_to_string(&path) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("skip {}: {e}", path.display());
-                    continue;
-                }
-            };
-            let artifact = match lrc_json::parse(&text) {
-                Ok(v) => v,
-                Err(e) => {
-                    eprintln!("skip {}: {e}", path.display());
-                    continue;
-                }
-            };
-            let result = store.put(&artifact).and_then(|artifact_hash| {
-                let manifest = RunManifest::migrated(
-                    &id,
-                    lrc_json::json!({ "scale": scale, "source": path.display().to_string() }),
-                    &artifact_hash,
-                );
-                let manifest_hash = store.put(&manifest.to_json())?;
-                store.record(IndexEntry {
-                    experiment: id.clone(),
-                    scale: scale.to_string(),
-                    procs: 0,
-                    seed: 0,
-                    config_hash: manifest.config_hash.clone(),
-                    artifact: artifact_hash,
-                    manifest: manifest_hash,
-                    migrated: true,
-                    timestamp: 0,
-                })
-            });
-            match result {
-                Ok(()) => {
-                    migrated += 1;
-                    eprintln!("migrated {}", path.display());
-                }
-                Err(e) => {
-                    eprintln!("{e}");
-                    return 1;
-                }
-            }
-        }
-    }
-    eprintln!("migrated {migrated} artifact(s) into {store_dir}");
     0
 }

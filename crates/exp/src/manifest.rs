@@ -39,11 +39,6 @@ impl HostFacts {
             os: std::env::consts::OS.to_string(),
         }
     }
-
-    /// The all-unknown host (migrated artifacts).
-    pub fn unknown() -> HostFacts {
-        HostFacts { host_cpus: 0, os: UNKNOWN.to_string() }
-    }
 }
 
 /// The provenance record for one stored artifact.
@@ -79,9 +74,10 @@ pub struct RunManifest {
     pub config_hash: String,
     /// Content hash of the artifact blob this manifest describes.
     pub artifact: String,
-    /// True when synthesized by `lrc-exp migrate` for a pre-store result:
-    /// provenance fields are placeholders and the staleness checker only
-    /// verifies integrity, not freshness.
+    /// True for a result imported from before the store existed (the
+    /// committed store's `migrated` entries): provenance fields are
+    /// placeholders and the staleness checker only verifies integrity, not
+    /// freshness.
     pub migrated: bool,
 }
 
@@ -135,24 +131,6 @@ impl RunManifest {
             migrated: false,
         }
     }
-
-    /// A synthesized manifest for a legacy artifact with unknown
-    /// provenance (`lrc-exp migrate`).
-    pub fn migrated(experiment: &str, params: Value, artifact_hash: &str) -> RunManifest {
-        RunManifest {
-            schema: MANIFEST_SCHEMA.to_string(),
-            experiment: experiment.to_string(),
-            tool_version: env!("CARGO_PKG_VERSION").to_string(),
-            git_commit: UNKNOWN.to_string(),
-            timestamp: 0,
-            host: HostFacts::unknown(),
-            params,
-            config: Value::Null,
-            config_hash: UNKNOWN.to_string(),
-            artifact: artifact_hash.to_string(),
-            migrated: true,
-        }
-    }
 }
 
 /// Best-effort `git rev-parse --short HEAD`; [`UNKNOWN`] outside a
@@ -187,6 +165,7 @@ pub fn resolve_timestamp(explicit: Option<u64>) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lrc_json::{Ctx, FromJson};
 
     #[test]
     fn config_hash_ignores_field_order() {
@@ -207,19 +186,9 @@ mod tests {
             1_754_784_000,
         );
         let v = lrc_json::ToJson::to_json(&m);
-        let back = RunManifest::from_json_detailed(&v).expect("roundtrip");
+        let back = RunManifest::decode(&v, Ctx::default()).expect("roundtrip");
         assert_eq!(back, m);
         assert_eq!(back.schema, MANIFEST_SCHEMA);
         assert!(!back.migrated);
-    }
-
-    #[test]
-    fn migrated_manifest_marks_unknown_provenance() {
-        let m = RunManifest::migrated("fig4", json!({ "scale": "paper" }), "deadbeef");
-        assert!(m.migrated);
-        assert_eq!(m.git_commit, UNKNOWN);
-        assert_eq!(m.config_hash, UNKNOWN);
-        assert_eq!(m.timestamp, 0);
-        assert!(m.config.is_null());
     }
 }

@@ -18,7 +18,7 @@
 
 use crate::manifest::{RunManifest, MANIFEST_SCHEMA};
 use crate::sha::sha256_hex;
-use lrc_json::{canonical_dump, json_struct, ToJson, Value};
+use lrc_json::{canonical_dump, json_struct, Ctx, FromJson, ToJson, Value};
 use std::path::{Path, PathBuf};
 
 /// Index schema tag.
@@ -211,7 +211,7 @@ impl Store {
         }
         let mut out = Vec::new();
         for (i, v) in doc["entries"].as_array().cloned().unwrap_or_default().iter().enumerate() {
-            match IndexEntry::from_json_detailed(v) {
+            match IndexEntry::decode(v, Ctx::default()) {
                 Ok(e) => out.push(e),
                 Err(e) => {
                     return Err(StoreError::BadJson {
@@ -287,7 +287,7 @@ impl Store {
     /// Load and decode the manifest blob for `entry`.
     pub fn manifest(&self, entry: &IndexEntry) -> Result<RunManifest, StoreError> {
         let v = self.get(&entry.manifest)?;
-        RunManifest::from_json_detailed(&v).map_err(|e| StoreError::BadJson {
+        RunManifest::decode(&v, Ctx::default()).map_err(|e| StoreError::BadJson {
             path: self.object_path(&entry.manifest),
             message: e.to_string(),
         })
@@ -321,7 +321,7 @@ impl Store {
             let mut fail = |reason: String| {
                 failures.push(CheckFailure { entry: e.label(), reason });
             };
-            let m = match RunManifest::from_json_detailed(&mv) {
+            let m = match RunManifest::decode(&mv, Ctx::default()) {
                 Ok(m) => m,
                 Err(err) => {
                     fail(format!("manifest does not decode: {err}"));
@@ -521,7 +521,11 @@ mod tests {
         let dir = tmpdir("migrated");
         let store = Store::open(&dir).unwrap();
         let artifact = store.put(&json!({ "legacy": true })).unwrap();
-        let m = RunManifest::migrated("fig4", json!({ "scale": "paper" }), &artifact);
+        let m = RunManifest {
+            config_hash: UNKNOWN.into(),
+            migrated: true,
+            ..RunManifest::new("fig4", json!({ "scale": "paper" }), Value::Null, &artifact, 0)
+        };
         let manifest = store.put(&m.to_json()).unwrap();
         store
             .record(IndexEntry {

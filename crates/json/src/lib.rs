@@ -7,6 +7,37 @@
 //! [`Value`] type, a [`json!`] construction macro, compact and pretty
 //! printers, a strict parser, and [`ToJson`]/[`FromJson`] conversion
 //! traits.
+//!
+//! # The record codec
+//!
+//! [`json_struct!`] writes both conversions for a record from one field
+//! list, so the encoder and the decoder cannot drift apart. Per field the
+//! list states the wire key when it differs from the Rust name
+//! (`requester as "req"`) and the wire kind (`line: Dec`); the kinds are
+//! types implementing [`Wire`]:
+//!
+//! - [`Plain`] (the default): the field type's own conversions;
+//! - [`Dec`]: a `u64` as a decimal string, exact beyond 2^53;
+//! - [`Node`]: a node id, range-checked against [`Ctx::nodes`];
+//! - [`List<K>`], [`Opt<K>`] and tuples of kinds `(K1, K2, ..)`: arrays,
+//!   `null`-or-value, and fixed-length arrays of mixed kinds;
+//! - [`Defaulted<K>`]: an absent key decodes to the default (fields added
+//!   after a format's first version);
+//! - [`Flat`]: a nested record's fields spliced into the enclosing object;
+//! - [`Skip`]: not on the wire, decodes to the default.
+//!
+//! Enums come in two forms: `enum T as str { A = "a", .. }` for unit
+//! variants as bare strings, and `enum T { V(x: Kind) = "tag", .. }` for
+//! variants with data, written as an object with its `"t"` tag first. A
+//! record that exists only to be written, such as one row of a table, is
+//! declared and listed at once: `struct Row { line: u64 => Dec, busy: bool }`
+//! defines a private struct with those fields and its codec.
+//!
+//! Each type has one decoder, [`FromJson::decode`]. It takes a [`Ctx`]
+//! (the bound for node ids) and returns a [`DecodeError`] naming the path
+//! of the first failing value, such as `nodes[3].cache.tick: expected a
+//! decimal u64 string`; [`FromJson::from_json`] is the same decoder with
+//! no node bound and the diagnosis dropped.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -16,10 +47,15 @@
 #![allow(clippy::vec_init_then_push)]
 
 mod canon;
+mod codec;
 mod parse;
 mod print;
 
 pub use canon::{canonical_dump, canonicalize};
+pub use codec::{
+    expect_object, tag_of, Ctx, Dec, DecodeError, DecodeReason, Defaulted, Flat, List, Node, Opt,
+    Plain, Skip, Wire,
+};
 pub use parse::{parse, ParseError};
 pub use print::{to_string, to_string_pretty};
 
@@ -243,57 +279,22 @@ impl<T: Into<Value>> FromIterator<T> for Value {
     }
 }
 
-/// Why a struct field failed to reconstruct from JSON.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FieldReason {
-    /// The key is absent from the object.
-    Missing,
-    /// The key is present but its value has the wrong shape or domain.
-    Invalid,
-}
-
-/// A struct could not be reconstructed from JSON: names the offending
-/// type and field instead of collapsing every failure into `None`.
-/// Produced by the `from_json_detailed` constructor that [`json_struct!`]
-/// generates alongside the [`FromJson`] impl.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FieldError {
-    /// Name of the struct being reconstructed.
-    pub type_name: &'static str,
-    /// The field that failed.
-    pub field: &'static str,
-    /// How it failed.
-    pub reason: FieldReason,
-}
-
-impl std::fmt::Display for FieldError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self.reason {
-            FieldReason::Missing => {
-                write!(f, "{}: missing field `{}`", self.type_name, self.field)
-            }
-            FieldReason::Invalid => write!(
-                f,
-                "{}: field `{}` has the wrong shape or an out-of-domain value",
-                self.type_name, self.field
-            ),
-        }
-    }
-}
-
-impl std::error::Error for FieldError {}
-
 /// Types that render themselves as a JSON [`Value`].
 pub trait ToJson {
     /// Convert to a JSON value.
     fn to_json(&self) -> Value;
 }
 
-/// Types reconstructible from a JSON [`Value`]. Returns `None` on shape or
-/// domain mismatch.
+/// Types reconstructible from a JSON [`Value`].
 pub trait FromJson: Sized {
-    /// Parse from a JSON value.
-    fn from_json(v: &Value) -> Option<Self>;
+    /// The decoder: rebuild `Self` from `v`, checking node ids against
+    /// `cx`. The error names the path to the first value that failed.
+    fn decode(v: &Value, cx: Ctx) -> Result<Self, DecodeError>;
+
+    /// [`FromJson::decode`] with no node bound, dropping the diagnosis.
+    fn from_json(v: &Value) -> Option<Self> {
+        Self::decode(v, Ctx::default()).ok()
+    }
 }
 
 impl ToJson for Value {
@@ -303,8 +304,8 @@ impl ToJson for Value {
 }
 
 impl FromJson for Value {
-    fn from_json(v: &Value) -> Option<Value> {
-        Some(v.clone())
+    fn decode(v: &Value, _: Ctx) -> Result<Value, DecodeError> {
+        Ok(v.clone())
     }
 }
 
@@ -315,8 +316,8 @@ impl ToJson for bool {
 }
 
 impl FromJson for bool {
-    fn from_json(v: &Value) -> Option<bool> {
-        v.as_bool()
+    fn decode(v: &Value, _: Ctx) -> Result<bool, DecodeError> {
+        v.as_bool().ok_or_else(|| DecodeError::expected("a bool"))
     }
 }
 
@@ -327,8 +328,8 @@ impl ToJson for String {
 }
 
 impl FromJson for String {
-    fn from_json(v: &Value) -> Option<String> {
-        v.as_str().map(str::to_string)
+    fn decode(v: &Value, _: Ctx) -> Result<String, DecodeError> {
+        v.as_str().map(str::to_string).ok_or_else(|| DecodeError::expected("a string"))
     }
 }
 
@@ -340,8 +341,10 @@ macro_rules! json_uint {
             }
         }
         impl FromJson for $t {
-            fn from_json(v: &Value) -> Option<$t> {
-                v.as_u64().and_then(|n| <$t>::try_from(n).ok())
+            fn decode(v: &Value, _: Ctx) -> Result<$t, DecodeError> {
+                v.as_u64()
+                    .and_then(|n| <$t>::try_from(n).ok())
+                    .ok_or_else(|| DecodeError::expected(stringify!($t)))
             }
         })*
     };
@@ -356,8 +359,10 @@ macro_rules! json_int {
             }
         }
         impl FromJson for $t {
-            fn from_json(v: &Value) -> Option<$t> {
-                v.as_i64().and_then(|n| <$t>::try_from(n).ok())
+            fn decode(v: &Value, _: Ctx) -> Result<$t, DecodeError> {
+                v.as_i64()
+                    .and_then(|n| <$t>::try_from(n).ok())
+                    .ok_or_else(|| DecodeError::expected(stringify!($t)))
             }
         })*
     };
@@ -371,8 +376,8 @@ impl ToJson for f64 {
 }
 
 impl FromJson for f64 {
-    fn from_json(v: &Value) -> Option<f64> {
-        v.as_f64()
+    fn decode(v: &Value, _: Ctx) -> Result<f64, DecodeError> {
+        v.as_f64().ok_or_else(|| DecodeError::expected("a number"))
     }
 }
 
@@ -383,8 +388,8 @@ impl<T: ToJson> ToJson for Vec<T> {
 }
 
 impl<T: FromJson> FromJson for Vec<T> {
-    fn from_json(v: &Value) -> Option<Vec<T>> {
-        v.as_array()?.iter().map(T::from_json).collect()
+    fn decode(v: &Value, cx: Ctx) -> Result<Vec<T>, DecodeError> {
+        codec::decode_items(v, |e| T::decode(e, cx))
     }
 }
 
@@ -395,11 +400,11 @@ impl<T: ToJson> ToJson for Option<T> {
 }
 
 impl<T: FromJson> FromJson for Option<T> {
-    fn from_json(v: &Value) -> Option<Option<T>> {
+    fn decode(v: &Value, cx: Ctx) -> Result<Option<T>, DecodeError> {
         if v.is_null() {
-            Some(None)
+            Ok(None)
         } else {
-            T::from_json(v).map(Some)
+            T::decode(v, cx).map(Some)
         }
     }
 }
@@ -479,53 +484,134 @@ macro_rules! json_fields {
     };
 }
 
-/// Implement [`ToJson`] + [`FromJson`] for a plain struct by listing its
-/// fields. Every field type must itself implement both traits. Also
-/// generates an inherent `from_json_detailed` constructor whose error
-/// names the first offending field (see [`FieldError`]).
+/// Implement [`ToJson`] + [`FromJson`] for a type from one field list;
+/// the forms and wire kinds are described in the crate docs.
+///
+/// ```
+/// use lrc_json::{json_struct, Ctx, Dec, FromJson, List, Node, ToJson};
+///
+/// struct Row { line: u64, owner: usize, peers: Vec<usize>, busy: bool }
+/// json_struct!(Row { line: Dec, owner as "own": Node, peers: List<Node>, busy });
+/// enum Ev { Step(usize), Wake { at: u64 }, Idle }
+/// json_struct!(enum Ev { Step(p: Node) = "step", Wake { at: Dec } = "wake", Idle = "idle" });
+///
+/// let v = Row { line: 1 << 60, owner: 2, peers: vec![0, 1], busy: false }.to_json();
+/// assert_eq!(v.dump(), r#"{"line":"1152921504606846976","own":2,"peers":[0,1],"busy":false}"#);
+/// let err = Row::decode(&v, Ctx { nodes: 2 }).err().unwrap();
+/// assert_eq!(err.to_string(), "own: node 2 out of range (< 2)");
+/// assert_eq!(Ev::Wake { at: 7 }.to_json().dump(), r#"{"t":"wake","at":"7"}"#);
+/// ```
 #[macro_export]
 macro_rules! json_struct {
-    ($ty:ty { $($field:ident),* $(,)? }) => {
+    (@kind) => { $crate::Plain };
+    (@kind $kind:ty) => { $kind };
+    (@key $field:ident) => { stringify!($field) };
+    (@key $field:ident $key:literal) => { $key };
+    ($(#[$attr:meta])* struct $name:ident {
+        $($field:ident $(as $key:literal)?: $fty:ty $(=> $kind:ty)?),* $(,)?
+    }) => {
+        $(#[$attr])*
+        struct $name { $($field: $fty),* }
+        $crate::json_struct!($name { $($field $(as $key)? $(: $kind)?),* });
+    };
+    (enum $ty:ident as str { $($var:ident = $name:literal),* $(,)? }) => {
         impl $crate::ToJson for $ty {
             fn to_json(&self) -> $crate::Value {
-                $crate::Value::Object(vec![
-                    $( (stringify!($field).to_string(), $crate::ToJson::to_json(&self.$field)) ),*
-                ])
+                $crate::Value::Str(match self { $(Self::$var => $name),* }.to_string())
             }
         }
         impl $crate::FromJson for $ty {
-            fn from_json(v: &$crate::Value) -> Option<Self> {
-                Some(Self {
-                    $( $field: $crate::FromJson::from_json(v.get(stringify!($field))?)? ),*
+            fn decode(
+                v: &$crate::Value,
+                _: $crate::Ctx,
+            ) -> ::std::result::Result<Self, $crate::DecodeError> {
+                match v.as_str() {
+                    $(Some($name) => Ok(Self::$var),)*
+                    Some(other) => Err($crate::DecodeError::new(
+                        $crate::DecodeReason::UnknownTag(other.to_string()),
+                    )),
+                    None => Err($crate::DecodeError::expected("a string")),
+                }
+            }
+        }
+    };
+    (enum $ty:ident { $(
+        $var:ident
+        $(( $($tf:ident $(: $tk:ty)?),* $(,)? ))?
+        $({ $($sf:ident $(as $sk:literal)? $(: $skind:ty)?),* $(,)? })?
+        = $tag:literal
+    ),* $(,)? }) => {
+        impl $crate::ToJson for $ty {
+            fn to_json(&self) -> $crate::Value {
+                match self { $(
+                    Self::$var $(( $($tf),* ))? $({ $($sf),* })? => {
+                        let keys = [$($(stringify!($tf),)*)? $($(stringify!($sf),)*)? "t"];
+                        let mut out = ::std::vec::Vec::with_capacity(keys.len());
+                        out.push(("t".to_string(), $crate::Value::Str($tag.to_string())));
+                        $($(
+                            <$crate::json_struct!(@kind $($tk)?) as $crate::Wire<_>>::put(
+                                stringify!($tf), $tf, &mut out,
+                            );
+                        )*)?
+                        $($(
+                            <$crate::json_struct!(@kind $($skind)?) as $crate::Wire<_>>::put(
+                                $crate::json_struct!(@key $sf $($sk)?), $sf, &mut out,
+                            );
+                        )*)?
+                        $crate::Value::Object(out)
+                    }
+                )* }
+            }
+        }
+        impl $crate::FromJson for $ty {
+            fn decode(
+                v: &$crate::Value,
+                cx: $crate::Ctx,
+            ) -> ::std::result::Result<Self, $crate::DecodeError> {
+                Ok(match $crate::tag_of(v)? {
+                    $($tag => Self::$var
+                        $(( $(
+                            <$crate::json_struct!(@kind $($tk)?) as $crate::Wire<_>>::take(
+                                v, stringify!($tf), cx,
+                            )?
+                        ),* ))?
+                        $({ $(
+                            $sf: <$crate::json_struct!(@kind $($skind)?) as $crate::Wire<_>>::take(
+                                v, $crate::json_struct!(@key $sf $($sk)?), cx,
+                            )?
+                        ),* })?,
+                    )*
+                    other => {
+                        let reason = $crate::DecodeReason::UnknownTag(other.to_string());
+                        return Err($crate::DecodeError::new(reason).in_field("t"));
+                    }
                 })
             }
         }
-        impl $ty {
-            /// Reconstruct from JSON; the error names the first field that
-            /// is missing or has the wrong shape.
-            #[allow(dead_code)]
-            pub fn from_json_detailed(v: &$crate::Value) -> Result<Self, $crate::FieldError> {
-                Ok(Self {
-                    $( $field: match v.get(stringify!($field)) {
-                        None => {
-                            return Err($crate::FieldError {
-                                type_name: stringify!($ty),
-                                field: stringify!($field),
-                                reason: $crate::FieldReason::Missing,
-                            })
-                        }
-                        Some(fv) => match $crate::FromJson::from_json(fv) {
-                            Some(x) => x,
-                            None => {
-                                return Err($crate::FieldError {
-                                    type_name: stringify!($ty),
-                                    field: stringify!($field),
-                                    reason: $crate::FieldReason::Invalid,
-                                })
-                            }
-                        },
-                    } ),*
-                })
+    };
+    ($ty:ty { $($field:ident $(as $key:literal)? $(: $kind:ty)?),* $(,)? }) => {
+        impl $crate::ToJson for $ty {
+            fn to_json(&self) -> $crate::Value {
+                let mut out = ::std::vec::Vec::with_capacity([$(stringify!($field)),*].len());
+                $(
+                    <$crate::json_struct!(@kind $($kind)?) as $crate::Wire<_>>::put(
+                        $crate::json_struct!(@key $field $($key)?), &self.$field, &mut out,
+                    );
+                )*
+                $crate::Value::Object(out)
+            }
+        }
+        impl $crate::FromJson for $ty {
+            fn decode(
+                v: &$crate::Value,
+                cx: $crate::Ctx,
+            ) -> ::std::result::Result<Self, $crate::DecodeError> {
+                $crate::expect_object(v)?;
+                Ok(Self { $(
+                    $field: <$crate::json_struct!(@kind $($kind)?) as $crate::Wire<_>>::take(
+                        v, $crate::json_struct!(@key $field $($key)?), cx,
+                    )?
+                ),* })
             }
         }
     };
@@ -583,20 +669,144 @@ mod tests {
     }
 
     #[test]
-    fn detailed_errors_name_the_offending_field() {
+    fn decode_errors_name_the_failing_path() {
         #[derive(Debug, PartialEq)]
         struct Q {
             a: u64,
             b: String,
         }
         json_struct!(Q { a, b });
-        let ok = Q::from_json_detailed(&json!({ "a": 1, "b": "x" }));
+        #[derive(Debug, PartialEq)]
+        struct Outer {
+            qs: Vec<Q>,
+            pair: (u64, usize),
+        }
+        json_struct!(Outer { qs, pair: (Dec, Node) });
+        let cx = Ctx { nodes: 4 };
+        let ok = Q::decode(&json!({ "a": 1, "b": "x" }), cx);
         assert_eq!(ok, Ok(Q { a: 1, b: "x".into() }));
-        let missing = Q::from_json_detailed(&json!({ "a": 1 })).unwrap_err();
-        assert_eq!((missing.type_name, missing.field, missing.reason), ("Q", "b", FieldReason::Missing));
-        assert_eq!(missing.to_string(), "Q: missing field `b`");
-        let invalid = Q::from_json_detailed(&json!({ "a": -2, "b": "x" })).unwrap_err();
-        assert_eq!((invalid.field, invalid.reason), ("a", FieldReason::Invalid));
-        assert!(invalid.to_string().contains("field `a`"));
+        let missing = Q::decode(&json!({ "a": 1 }), cx).unwrap_err();
+        assert_eq!((missing.path.as_str(), &missing.reason), ("b", &DecodeReason::Missing));
+        assert_eq!(missing.to_string(), "b: missing");
+        let deep = json!({ "qs": [{ "a": 1, "b": "x" }, { "a": -2, "b": "x" }], "pair": ["9", 1] });
+        let err = Outer::decode(&deep, cx).unwrap_err();
+        assert_eq!(err.to_string(), "qs[1].a: expected u64");
+        let far = json!({ "qs": [], "pair": ["9", 4] });
+        let err = Outer::decode(&far, cx).unwrap_err();
+        assert_eq!(err.to_string(), "pair[1]: node 4 out of range (< 4)");
+        let short = json!({ "qs": [], "pair": ["9"] });
+        let err = Outer::decode(&short, cx).unwrap_err();
+        assert_eq!(err.reason, DecodeReason::Length { expected: 2, found: 1 });
+        assert!(Outer::decode(&json!([]), cx).is_err());
+    }
+
+    #[test]
+    fn kinds_keep_their_wire_rules() {
+        #[derive(Debug, PartialEq, Default)]
+        struct Inner {
+            k: u64,
+        }
+        json_struct!(Inner { k: Dec });
+        #[derive(Debug, PartialEq)]
+        struct R {
+            big: u64,
+            owner: usize,
+            late: Vec<u32>,
+            maybe: Option<u64>,
+            arr: [u64; 2],
+            row: Inner,
+            gone: u32,
+        }
+        json_struct!(R {
+            big: Dec,
+            owner as "own": Node,
+            late: Defaulted,
+            maybe: Opt<Dec>,
+            arr: List<Dec>,
+            row: Flat,
+            gone: Skip,
+        });
+        let r = R {
+            big: u64::MAX,
+            owner: 3,
+            late: vec![1],
+            maybe: Some(1 << 60),
+            arr: [1, 2],
+            row: Inner { k: 5 },
+            gone: 0,
+        };
+        let v = r.to_json();
+        assert_eq!(
+            v.dump(),
+            concat!(
+                r#"{"big":"18446744073709551615","own":3,"late":[1],"#,
+                r#""maybe":"1152921504606846976","arr":["1","2"],"k":"5"}"#
+            )
+        );
+        assert_eq!(R::decode(&v, Ctx::default()), Ok(r));
+        let mut old = v.clone();
+        if let Value::Object(fields) = &mut old {
+            fields.retain(|(k, _)| k != "late");
+        }
+        assert_eq!(R::decode(&old, Ctx::default()).map(|r| r.late), Ok(vec![]));
+        let mut bad = v;
+        bad.set("arr", json!(["1"]));
+        let err = R::decode(&bad, Ctx::default()).unwrap_err();
+        assert_eq!(err.to_string(), "arr: expected 2 elements, found 1");
+    }
+
+    #[test]
+    fn struct_form_declares_the_record_it_lists() {
+        json_struct!(
+            /// A row.
+            struct Row { line: u64 => Dec, owner as "own": usize => Node, busy: bool }
+        );
+        let row = Row { line: 1 << 60, owner: 1, busy: true };
+        let v = row.to_json();
+        assert_eq!(v.dump(), r#"{"line":"1152921504606846976","own":1,"busy":true}"#);
+        let back = Row::decode(&v, Ctx { nodes: 2 }).expect("decodes");
+        assert_eq!((back.line, back.owner, back.busy), (1 << 60, 1, true));
+    }
+
+    #[test]
+    fn enum_forms_tag_first_and_reject_unknown_tags() {
+        #[derive(Debug, PartialEq)]
+        enum G {
+            A,
+            B,
+        }
+        json_struct!(enum G as str { A = "a", B = "b" });
+        #[derive(Debug, PartialEq)]
+        enum E {
+            Step(usize, u64),
+            Wake { at: u64, why: G },
+            Idle,
+        }
+        json_struct!(enum E {
+            Step(p: Node, line: Dec) = "step",
+            Wake { at: Dec, why as "w" } = "wake",
+            Idle = "idle",
+        });
+        let cases = [
+            (E::Step(1, 2), r#"{"t":"step","p":1,"line":"2"}"#),
+            (E::Wake { at: 9, why: G::B }, r#"{"t":"wake","at":"9","w":"b"}"#),
+            (E::Idle, r#"{"t":"idle"}"#),
+        ];
+        for (e, text) in cases {
+            let v = e.to_json();
+            assert_eq!(v.dump(), text);
+            assert_eq!(E::decode(&v, Ctx { nodes: 2 }), Ok(e));
+        }
+        let err = E::decode(&json!({ "t": "nap" }), Ctx::default()).unwrap_err();
+        assert_eq!(err.to_string(), "t: unknown tag `nap`");
+        let err = E::decode(&json!({ "t": "wake", "at": "9", "w": "c" }), Ctx::default());
+        assert_eq!(err.unwrap_err().to_string(), "w: unknown tag `c`");
+        let err = E::decode(&json!({ "p": 1 }), Ctx::default()).unwrap_err();
+        assert_eq!(err.to_string(), "t: missing");
+        let far = json!({ "t": "step", "p": 2, "line": "0" });
+        assert!(matches!(
+            E::decode(&far, Ctx { nodes: 2 }).unwrap_err().reason,
+            DecodeReason::NodeOutOfRange { node: 2, nodes: 2 }
+        ));
     }
 }

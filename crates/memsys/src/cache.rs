@@ -8,6 +8,7 @@
 //! support the lazy protocols' write-through merging and let write-backs
 //! carry only the modified words.
 
+use lrc_sim::lrc_json::json_struct;
 use lrc_sim::{LineAddr, MachineConfig};
 
 /// Local access permission of a cached line.
@@ -20,6 +21,8 @@ pub enum LineState {
     /// Present and writable by the local processor.
     ReadWrite,
 }
+
+json_struct!(enum LineState as str { Invalid = "inv", ReadOnly = "ro", ReadWrite = "rw" });
 
 /// A resident cache line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -44,7 +44,9 @@ impl CoalescingBuffer {
     /// Buffer with `capacity` entries (Table-1 machines use 16).
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0);
-        CoalescingBuffer { entries: VecDeque::with_capacity(capacity), capacity }
+        // `capacity` is a limit, not an allocation: a corrupt or absurd
+        // configuration must not reserve memory it will never fill.
+        CoalescingBuffer { entries: VecDeque::with_capacity(capacity.min(64)), capacity }
     }
 
     /// Offer a write of `word` within `line`.

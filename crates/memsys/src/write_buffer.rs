@@ -46,7 +46,8 @@ impl WriteBuffer {
     /// Buffer with `capacity` entries (Table-1 machines use 4).
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0);
-        WriteBuffer { entries: VecDeque::with_capacity(capacity), capacity }
+        // `capacity` is a limit, not an allocation (see `CoalescingBuffer`).
+        WriteBuffer { entries: VecDeque::with_capacity(capacity.min(64)), capacity }
     }
 
     /// Offer a write of `word` within `line`.

@@ -12,6 +12,8 @@
 //! deterministic `drop_nth` mode so the model checker can kill exactly one
 //! chosen message without any randomness at all.
 
+use lrc_sim::lrc_json::{json_struct, Ctx, Dec, DecodeError, DecodeReason, Defaulted, FromJson};
+use lrc_sim::lrc_json::{List, Node, Opt, Plain, ToJson, Value};
 use lrc_sim::{Cycle, NodeId, Rng};
 
 /// Coarse class of a message for per-class fault rates. The mesh does not
@@ -151,6 +153,13 @@ impl CrashPlan {
     }
 }
 
+/// The default plan is [`CrashPlan::detection_only`].
+impl Default for CrashPlan {
+    fn default() -> Self {
+        CrashPlan::detection_only()
+    }
+}
+
 /// A complete, seeded description of the faults to inject during one run,
 /// plus the link-layer recovery parameters.
 #[derive(Debug, Clone, PartialEq)]
@@ -174,6 +183,42 @@ pub struct FaultPlan {
     /// Orthogonal to the message faults: a crash-only plan does **not**
     /// activate the injector or link layer — see [`FaultPlan::is_active`].
     pub crash: Option<CrashPlan>,
+}
+
+// Snapshot field lists: cycles, seeds and counts that can carry high bits
+// travel as decimal strings; victims are node ids.
+json_struct!(FaultRates { drop, duplicate, delay, corrupt });
+json_struct!(CrashPlan {
+    victims: List<(Node, Dec)>,
+    crash_nth: Opt<(Node, Dec)>,
+    heartbeat_every: Dec,
+    lease_timeout: Dec,
+});
+// v1 documents predate crash plans: an absent `crash` means none.
+json_struct!(FaultPlan {
+    seed: Dec,
+    rates: List,
+    delay_cycles: Dec,
+    drop_nth: Opt<(Plain, Dec)>,
+    retry_timeout: Dec,
+    max_retries,
+    crash: Defaulted,
+});
+
+/// A message class travels as its [`MsgClass::index`].
+impl ToJson for MsgClass {
+    fn to_json(&self) -> Value {
+        self.index().to_json()
+    }
+}
+
+impl FromJson for MsgClass {
+    fn decode(v: &Value, cx: Ctx) -> Result<MsgClass, DecodeError> {
+        let i = usize::decode(v, cx)?;
+        MsgClass::ALL.get(i).copied().ok_or_else(|| {
+            DecodeError::new(DecodeReason::UnknownTag(format!("message class {i}")))
+        })
+    }
 }
 
 impl FaultPlan {
@@ -285,6 +330,9 @@ pub struct InjectorState {
     /// Faults injected so far.
     pub counters: FaultCounters,
 }
+
+json_struct!(FaultCounters { dropped: Dec, duplicated: Dec, delayed: Dec, corrupted: Dec });
+json_struct!(InjectorState { streams: List<Dec>, sent: List<Dec>, counters });
 
 /// The injector: the plan plus its live decision streams and counters.
 #[derive(Debug, Clone)]

@@ -18,6 +18,7 @@
 
 use crate::fault::{Delivery, FaultCounters, FaultPlan, Injector, InjectorState, MsgClass};
 use crate::topology::Mesh;
+use lrc_sim::lrc_json::{json_struct, Dec, List};
 use lrc_sim::{Cycle, MachineConfig, NodeId};
 use std::collections::VecDeque;
 
@@ -156,8 +157,8 @@ pub struct NiSnapshot {
 }
 
 /// Checkpointed network state, produced by [`Network::save_state`] and
-/// consumed by [`Network::restore_state`]. Pure data — serialization lives
-/// with the machine-level snapshot code.
+/// consumed by [`Network::restore_state`]. Pure data, serialized by the
+/// field list below as part of a machine snapshot.
 #[derive(Debug, Clone, PartialEq)]
 pub struct NetworkState {
     /// Per-node outbound-port free times.
@@ -171,6 +172,14 @@ pub struct NetworkState {
     /// Fault-injector decision state, when an active plan is installed.
     pub injector: Option<InjectorState>,
 }
+
+json_struct!(NiSnapshot {
+    ingress: List<List<Dec>>,
+    egress: List<List<Dec>>,
+    peak_ingress,
+    peak_egress,
+});
+json_struct!(NetworkState { send_free: List<Dec>, msgs: Dec, bytes_total: Dec, ni, injector });
 
 /// Stateful network timing model: owns the per-node NI port availability.
 #[derive(Debug, Clone)]

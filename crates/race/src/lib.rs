@@ -35,6 +35,7 @@
 #![warn(missing_docs)]
 #![allow(clippy::new_without_default)]
 
+use lrc_sim::lrc_json::{json_struct, Dec, List, Opt, Plain};
 use lrc_sim::{RaceReport, RaceSite, RaceStats};
 use std::collections::BTreeMap;
 use std::hash::{Hash, Hasher};
@@ -160,8 +161,8 @@ pub struct BarrierState {
 
 /// Complete checkpointed detector state, produced by
 /// [`RaceDetector::save_state`] and consumed by
-/// [`RaceDetector::from_state`]. Pure data — serialization lives with the
-/// machine-level snapshot code.
+/// [`RaceDetector::from_state`]. Pure data, serialized by the field lists
+/// below as part of a machine snapshot (clocks as decimal strings).
 #[derive(Debug, Clone, PartialEq)]
 pub struct RaceDetectorState {
     /// Number of processors.
@@ -181,6 +182,24 @@ pub struct RaceDetectorState {
     /// Counters and reports accumulated so far.
     pub stats: RaceStats,
 }
+
+json_struct!(enum ReadState {
+    None = "none",
+    Epoch(proc, clock: Dec, site) = "epoch",
+    Vector(clocks: List<Dec>, sites) = "vector",
+});
+json_struct!(WordState { addr: Dec, write: Opt<(Plain, Dec, Plain)>, read, racy });
+json_struct!(BarrierState { id, gather: List<Dec>, arrivals, completed: List<Dec> });
+json_struct!(RaceDetectorState {
+    num_procs,
+    word_size: Dec,
+    clocks: List<List<Dec>>,
+    refs: List<Dec>,
+    locks: List<(Plain, List<Dec>)>,
+    barriers,
+    words,
+    stats,
+});
 
 /// The online happens-before race detector.
 ///

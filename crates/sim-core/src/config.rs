@@ -359,6 +359,12 @@ impl MachineConfig {
                 ),
             ));
         }
+        if self.write_buffer_entries == 0 {
+            return Err(ConfigError::new("write_buffer_entries", "must be > 0"));
+        }
+        if self.coalescing_buffer_entries == 0 {
+            return Err(ConfigError::new("coalescing_buffer_entries", "must be > 0"));
+        }
         if self.mem_bytes_per_cycle == 0 {
             return Err(ConfigError::new("mem_bytes_per_cycle", "bandwidth must be non-zero"));
         }

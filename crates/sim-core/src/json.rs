@@ -1,15 +1,19 @@
-//! JSON conversions for the types the experiment harness and tests
-//! serialize: [`MachineConfig`], [`Protocol`], and the statistics
-//! structures. Built on the workspace's offline `lrc-json` layer.
+//! JSON field lists for the types the experiment harness, the tests and
+//! machine snapshots serialize: [`MachineConfig`], [`Protocol`], the
+//! statistics structures, and the workload and stall vocabulary a paused
+//! machine holds. Built on the workspace's offline `lrc-json` codec
+//! (re-exported as [`crate::lrc_json`] for the crates above this one).
 
 use crate::config::{MachineConfig, Placement, ResourceLimits};
 use crate::stats::{
     Breakdown, CrashStats, DataLossEvent, FaultStats, Histogram, LatencyStats, MachineStats,
-    MissClass, MissCounts, ProcStats, RaceReport, RaceSite, RaceStats, ResourceStats, Traffic,
-    HIST_BUCKETS,
+    MissClass, MissCounts, ProcStats, RaceReport, RaceSite, RaceStats, ResourceStats, StallKind,
+    Traffic, HIST_BUCKETS,
 };
-use crate::types::Protocol;
-use lrc_json::{json_struct, FromJson, ToJson, Value};
+use crate::types::{LineAddr, Protocol};
+use crate::workload::Op;
+use lrc_json::{json_struct, Ctx, Dec, DecodeError, DecodeReason, Defaulted, FromJson, List};
+use lrc_json::{Plain, ToJson, Value, Wire};
 
 impl ToJson for Protocol {
     fn to_json(&self) -> Value {
@@ -18,38 +22,41 @@ impl ToJson for Protocol {
 }
 
 impl FromJson for Protocol {
-    fn from_json(v: &Value) -> Option<Protocol> {
-        Protocol::parse(v.as_str()?)
+    fn decode(v: &Value, _: Ctx) -> Result<Protocol, DecodeError> {
+        let name = v.as_str().ok_or_else(|| DecodeError::expected("a protocol name"))?;
+        Protocol::parse(name)
+            .ok_or_else(|| DecodeError::new(DecodeReason::UnknownTag(name.to_string())))
     }
 }
 
-impl Placement {
-    /// Stable lowercase name used in serialized configs.
-    pub fn name(self) -> &'static str {
-        match self {
-            Placement::RoundRobinPages => "round-robin-pages",
-            Placement::AllAtZero => "all-at-zero",
-            Placement::FirstTouch => "first-touch",
-        }
+json_struct!(enum Placement as str {
+    RoundRobinPages = "round-robin-pages",
+    AllAtZero = "all-at-zero",
+    FirstTouch = "first-touch",
+});
+
+/// A line address travels as its `u64`, in [`Dec`]imal.
+impl Wire<LineAddr> for Dec {
+    fn encode(x: &LineAddr) -> Value {
+        <Dec as Wire<u64>>::encode(&x.0)
+    }
+    fn decode(v: &Value, cx: Ctx) -> Result<LineAddr, DecodeError> {
+        <Dec as Wire<u64>>::decode(v, cx).map(LineAddr)
     }
 }
 
-impl ToJson for Placement {
-    fn to_json(&self) -> Value {
-        Value::Str(self.name().to_string())
-    }
-}
+json_struct!(enum Op {
+    Compute(n) = "compute",
+    Read(a: Dec) = "read",
+    Write(a: Dec) = "write",
+    Acquire(lock) = "acquire",
+    Release(lock) = "release",
+    Barrier(bar) = "barrier",
+    Fence = "fence",
+    Done = "done",
+});
 
-impl FromJson for Placement {
-    fn from_json(v: &Value) -> Option<Placement> {
-        match v.as_str()? {
-            "round-robin-pages" => Some(Placement::RoundRobinPages),
-            "all-at-zero" => Some(Placement::AllAtZero),
-            "first-touch" => Some(Placement::FirstTouch),
-            _ => None,
-        }
-    }
-}
+json_struct!(enum StallKind as str { Cpu = "cpu", Read = "read", Write = "write", Sync = "sync" });
 
 json_struct!(MachineConfig {
     num_procs,
@@ -100,12 +107,12 @@ impl ToJson for MissCounts {
 }
 
 impl FromJson for MissCounts {
-    fn from_json(v: &Value) -> Option<MissCounts> {
+    fn decode(v: &Value, cx: Ctx) -> Result<MissCounts, DecodeError> {
         let mut counts = [0u64; 5];
         for (i, c) in MissClass::ALL.iter().enumerate() {
-            counts[i] = u64::from_json(v.get(c.name())?)?;
+            counts[i] = <Plain as Wire<u64>>::take(v, c.name(), cx)?;
         }
-        Some(MissCounts::from_array(counts))
+        Ok(MissCounts::from_array(counts))
     }
 }
 
@@ -156,44 +163,29 @@ json_struct!(ResourceStats {
     peak_pending_invals,
     peak_parked,
 });
-// Histograms serialize sparsely: only non-empty buckets, as [index, count]
-// pairs, so an all-zero histogram is `{"count":0,"sum":0,"max":0,"buckets":[]}`.
-impl ToJson for Histogram {
-    fn to_json(&self) -> Value {
-        let buckets: Vec<Value> = self
-            .buckets
-            .iter()
-            .enumerate()
-            .filter(|(_, &n)| n > 0)
-            .map(|(i, &n)| Value::Array(vec![(i as u64).to_json(), n.to_json()]))
-            .collect();
-        Value::Object(vec![
-            ("count".into(), self.count.to_json()),
-            ("sum".into(), self.sum.to_json()),
-            ("max".into(), self.max.to_json()),
-            ("buckets".into(), Value::Array(buckets)),
-        ])
+/// Histogram buckets travel sparsely: only non-empty ones, as
+/// `[index, count]` pairs, so an all-zero histogram is
+/// `{"count":0,"sum":0,"max":0,"buckets":[]}`.
+enum Sparse {}
+
+impl Wire<[u64; HIST_BUCKETS]> for Sparse {
+    fn encode(buckets: &[u64; HIST_BUCKETS]) -> Value {
+        let nonzero: Vec<(usize, u64)> =
+            buckets.iter().copied().enumerate().filter(|&(_, n)| n > 0).collect();
+        <List<(Plain, Plain)> as Wire<_>>::encode(&nonzero)
+    }
+    fn decode(v: &Value, cx: Ctx) -> Result<[u64; HIST_BUCKETS], DecodeError> {
+        let mut buckets = [0; HIST_BUCKETS];
+        let nonzero: Vec<(usize, u64)> = <List<(Plain, Plain)> as Wire<_>>::decode(v, cx)?;
+        for (i, n) in nonzero {
+            *buckets.get_mut(i).ok_or_else(|| DecodeError::expected("a bucket index in range"))? =
+                n;
+        }
+        Ok(buckets)
     }
 }
 
-impl FromJson for Histogram {
-    fn from_json(v: &Value) -> Option<Histogram> {
-        let mut h = Histogram {
-            count: u64::from_json(v.get("count")?)?,
-            sum: u64::from_json(v.get("sum")?)?,
-            max: u64::from_json(v.get("max")?)?,
-            buckets: [0; HIST_BUCKETS],
-        };
-        for pair in v.get("buckets")?.as_array()? {
-            let i = usize::from_json(pair.get_index(0)?)?;
-            if i >= HIST_BUCKETS {
-                return None;
-            }
-            h.buckets[i] = u64::from_json(pair.get_index(1)?)?;
-        }
-        Some(h)
-    }
-}
+json_struct!(Histogram { count, sum, max, buckets: Sparse });
 
 impl ToJson for LatencyStats {
     fn to_json(&self) -> Value {
@@ -202,12 +194,13 @@ impl ToJson for LatencyStats {
 }
 
 impl FromJson for LatencyStats {
-    fn from_json(v: &Value) -> Option<LatencyStats> {
+    fn decode(v: &Value, cx: Ctx) -> Result<LatencyStats, DecodeError> {
+        let fields = v.as_object().ok_or_else(|| DecodeError::expected("an object"))?;
         let mut out = LatencyStats::new();
-        for (name, hv) in v.as_object()? {
-            out.hist_mut(name).merge(&Histogram::from_json(hv)?);
+        for (name, hv) in fields {
+            out.hist_mut(name).merge(&Histogram::decode(hv, cx).map_err(|e| e.in_field(name))?);
         }
-        Some(out)
+        Ok(out)
     }
 }
 
@@ -241,40 +234,17 @@ json_struct!(CrashStats {
     data_loss,
 });
 
-// MachineStats is hand-written (not `json_struct!`) for one reason: stats
-// files written before the crash subsystem existed have no "crashes" key,
-// and they must keep loading — a missing key defaults to the all-zero
-// crashes-off signature.
-impl ToJson for MachineStats {
-    fn to_json(&self) -> Value {
-        Value::Object(vec![
-            ("procs".into(), self.procs.to_json()),
-            ("total_cycles".into(), self.total_cycles.to_json()),
-            ("faults".into(), self.faults.to_json()),
-            ("resources".into(), self.resources.to_json()),
-            ("latencies".into(), self.latencies.to_json()),
-            ("races".into(), self.races.to_json()),
-            ("crashes".into(), self.crashes.to_json()),
-        ])
-    }
-}
-
-impl FromJson for MachineStats {
-    fn from_json(v: &Value) -> Option<MachineStats> {
-        Some(MachineStats {
-            procs: FromJson::from_json(v.get("procs")?)?,
-            total_cycles: FromJson::from_json(v.get("total_cycles")?)?,
-            faults: FromJson::from_json(v.get("faults")?)?,
-            resources: FromJson::from_json(v.get("resources")?)?,
-            latencies: FromJson::from_json(v.get("latencies")?)?,
-            races: FromJson::from_json(v.get("races")?)?,
-            crashes: match v.get("crashes") {
-                Some(cv) => FromJson::from_json(cv)?,
-                None => CrashStats::default(),
-            },
-        })
-    }
-}
+// Stats files written before the crash subsystem existed have no
+// "crashes" key; they keep loading with the crashes-off all-zero signature.
+json_struct!(MachineStats {
+    procs,
+    total_cycles,
+    faults,
+    resources,
+    latencies,
+    races,
+    crashes: Defaulted,
+});
 
 #[cfg(test)]
 mod tests {

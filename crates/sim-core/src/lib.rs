@@ -23,6 +23,10 @@ pub mod types;
 pub mod watchdog;
 pub mod workload;
 
+/// The JSON codec every simulator crate writes its records' field lists
+/// with (see [`json`] for this crate's).
+pub use lrc_json;
+
 pub use config::{table1_rows, ConfigError, MachineConfig, Placement, ResourceLimits};
 pub use event::EventQueue;
 pub use rng::Rng;

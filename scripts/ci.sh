@@ -13,6 +13,8 @@
 #             bounded configs (`cargo test -p lrc-check`); the checker's
 #             exhaustive sweep stays opt-in via
 #             `cargo test -p lrc-check --release -- --ignored`
+#   perfbench — the benchmark crate (its own workspace) builds against the
+#             changed crates and its tests pass
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -48,6 +50,13 @@ done
 
 echo "==> tier 2: workspace tests"
 cargo test --workspace -q
+
+echo "==> perfbench: build and test the benchmark crate"
+# perfbench calls the crates' public APIs by path (MachineSnapshot's
+# capture/encode/parse/restore, ToJson, lrc_exp::config_hash), and its
+# tests include a negative control on the snapshot codec: a mutated
+# snapshot must count as a failed iteration.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
 echo "==> bench smoke: lrc-bench compare at tiny scale"
 # Exercises the whole measure/compare path in seconds. The committed
