@@ -1,5 +1,5 @@
 //! `lrc-classify` — online miss classification in the style of Bianchini &
-//! Kontothanassis (paper reference [3]), producing the five categories of
+//! Kontothanassis (paper reference \[3\]), producing the five categories of
 //! the paper's Table 2: **cold**, **true-sharing**, **false-sharing**,
 //! **eviction**, and **write** (upgrade) misses.
 //!

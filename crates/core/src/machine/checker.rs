@@ -162,7 +162,7 @@ impl Machine {
     /// writes) and any write-write overlay conflicts. `None` unless built
     /// with [`Machine::with_value_tracking`].
     pub fn final_memory(&self) -> Option<(SymbolicMemory, Vec<(u64, usize)>)> {
-        self.values.as_ref().map(|v| v.final_memory())
+        Some(self.observers.as_deref()?.values.as_ref()?.final_memory())
     }
 
     /// Liveness sweep for a drained machine: everything that should have
@@ -350,13 +350,14 @@ impl Machine {
             }
         }
 
-        if let Some(v) = self.values.as_ref() {
+        let obs = self.observers.as_deref();
+        if let Some(v) = obs.and_then(|o| o.values.as_ref()) {
             v.hash_into(&mut h);
         }
         // Detector state must distinguish otherwise-equal machine states:
         // pruning a state whose vector clocks or word metadata differ could
         // silently merge a racy path into a clean one.
-        if let Some(r) = self.race.as_ref() {
+        if let Some(r) = obs.and_then(|o| o.race.as_ref()) {
             r.hash_into(&mut h);
         }
         h.finish()

@@ -38,6 +38,7 @@
 //! one never-taken branch — the zero-cost-when-off guarantee the golden
 //! fingerprints pin.
 
+use super::obs::Seen;
 use super::{Event, Machine};
 use crate::directory::NodeSet;
 use crate::msg::{Msg, MsgKind, WriteGrant};
@@ -170,9 +171,7 @@ impl Machine {
             }
         }
         self.stats.crashes.crashes += 1;
-        if self.obs.is_some() {
-            self.obs_crash(t, v, CrashEv::NodeCrashed);
-        }
+        self.observe(t, v, Seen::Crash(CrashEv::NodeCrashed));
         // Crash-stop: everything volatile at the node vanishes. The node
         // object is replaced wholesale (cache, write buffers, outstanding
         // table, lock/barrier service state — all gone).
@@ -259,9 +258,7 @@ impl Machine {
             c.suspected[o].insert(dead);
         }
         self.stats.crashes.suspicions += 1;
-        if self.obs.is_some() {
-            self.obs_crash(t, o, CrashEv::SuspectedDead { dead });
-        }
+        self.observe(t, o, Seen::Crash(CrashEv::SuspectedDead { dead }));
 
         self.reclaim_directory(t, o, dead);
         self.reclaim_busy_episodes(t, o, dead);
@@ -320,9 +317,7 @@ impl Machine {
                 home: o as u64,
                 detected_at: t,
             });
-            if self.obs.is_some() {
-                self.obs_crash(t, o, CrashEv::DataLoss { line: l, owner: dead });
-            }
+            self.observe(t, o, Seen::Crash(CrashEv::DataLoss { line: l, owner: dead }));
         }
         self.stats.crashes.forged_acks += forged;
         for (l, waiters) in completions {
@@ -430,9 +425,7 @@ impl Machine {
             let (grants, reclaimed) = self.nodes[o].locks.purge(dead);
             self.stats.crashes.locks_reclaimed += reclaimed;
             for (lock, next) in grants {
-                if self.obs.is_some() {
-                    self.obs_crash(t, o, CrashEv::LockReclaimed { lock: lock as u64 });
-                }
+                self.observe(t, o, Seen::Crash(CrashEv::LockReclaimed { lock: lock as u64 }));
                 self.grant_log.push((lock, next));
                 self.send(t, o, next, MsgKind::LockGrant { lock });
             }
@@ -441,9 +434,7 @@ impl Machine {
         let (released, slots) = self.nodes[o].barriers.purge(dead, expected);
         self.stats.crashes.barrier_slots_reclaimed += slots;
         for (bar, arrived) in released {
-            if self.obs.is_some() {
-                self.obs_crash(t, o, CrashEv::BarrierReclaimed { barrier: bar as u64 });
-            }
+            self.observe(t, o, Seen::Crash(CrashEv::BarrierReclaimed { barrier: bar as u64 }));
             let mut send_t = t;
             for p in arrived {
                 send_t = self.nodes[o].pp.occupy(send_t, self.cfg.write_notice_cost);
@@ -503,9 +494,7 @@ impl Machine {
             return;
         };
         self.stats.crashes.degraded_fills += 1;
-        if self.obs.is_some() {
-            self.obs_crash(t, p, CrashEv::DegradedFill { line: line.0 });
-        }
+        self.observe(t, p, Seen::Crash(CrashEv::DegradedFill { line: line.0 }));
         if o.waiting_data {
             let wants_write = o.retire_wb || o.apply_words != 0;
             let kind = if wants_write {
@@ -539,23 +528,17 @@ impl Machine {
     pub(crate) fn degrade_send(&mut self, now: Cycle, src: NodeId, kind: MsgKind) {
         use MsgKind::*;
         let reply = match kind {
-            ReadReq { line } => {
+            ReadReq { line } | WriteReq { line, .. } => {
                 self.stats.crashes.degraded_fills += 1;
-                if self.obs.is_some() {
-                    self.obs_crash(now, src, CrashEv::DegradedFill { line: line.0 });
-                }
-                Some(ReadReply { line, weak: false })
-            }
-            WriteReq { line, had_copy, .. } => {
-                self.stats.crashes.degraded_fills += 1;
-                if self.obs.is_some() {
-                    self.obs_crash(now, src, CrashEv::DegradedFill { line: line.0 });
-                }
-                Some(WriteReply {
-                    line,
-                    grant: WriteGrant::Immediate,
-                    with_data: !had_copy,
-                    weak: false,
+                self.observe(now, src, Seen::Crash(CrashEv::DegradedFill { line: line.0 }));
+                Some(match kind {
+                    WriteReq { had_copy, .. } => WriteReply {
+                        line,
+                        grant: WriteGrant::Immediate,
+                        with_data: !had_copy,
+                        weak: false,
+                    },
+                    _ => ReadReply { line, weak: false },
                 })
             }
             WriteThrough { line, .. } => {

@@ -4,21 +4,22 @@
 //! One [`Machine`] instance simulates one run of one workload under one
 //! protocol. The implementation is split by concern:
 //!
-//! * [`step`] — the processor front end: batched op issue, the write buffer
+//! * `step` — the processor front end: batched op issue, the write buffer
 //!   pump, line installation and eviction.
-//! * [`home`] — directory-side message handling (the home node's protocol
+//! * `home` — directory-side message handling (the home node's protocol
 //!   processor).
-//! * [`remote`] — cache-side message handling (invalidations, notices,
+//! * `remote` — cache-side message handling (invalidations, notices,
 //!   forwards, replies).
-//! * [`sync_ops`] — acquires, releases, barriers, fences, and the lock and
+//! * `sync_ops` — acquires, releases, barriers, fences, and the lock and
 //!   barrier services.
+//! * `obs` — the observer set: every passive instrument, reached through
+//!   one typed machine-event entry point.
 
 pub(crate) mod checker;
 pub(crate) mod crash;
 mod home;
 pub(crate) mod invariants;
 pub(crate) mod obs;
-pub(crate) mod race;
 mod remote;
 pub(crate) mod snapshot;
 mod step;
@@ -33,7 +34,6 @@ pub use values::SymbolicMemory;
 use crate::directory::DirEntry;
 use crate::msg::{Msg, MsgKind};
 use crate::node::{Node, ProcStatus};
-use lrc_classify::Classifier;
 use lrc_mesh::{FaultPlan, Network};
 use lrc_sim::{
     Addr, Cycle, EventQueue, LatencyStats, LineAddr, LineMap, MachineConfig, MachineStats, NodeId,
@@ -42,6 +42,7 @@ use lrc_sim::{
 use lrc_trace::{
     FlightRecorder, ResourceEv, RingSink, TimeSeries, TraceFilter, TraceRecord, TraceSink,
 };
+use obs::Seen;
 use xmit::{InFlight, XmitState};
 
 /// A deliberately-introduced protocol bug, for validating that the model
@@ -178,16 +179,16 @@ pub struct Machine {
     pub(crate) net: Network,
     pub(crate) queue: EventQueue<Event>,
     pub(crate) stats: MachineStats,
-    pub(crate) classifier: Option<Classifier>,
     pub(crate) workload: Box<dyn Workload>,
     pub(crate) finished: usize,
     pub(crate) max_cycles: u64,
     /// Sweep coherence invariants every N handled events (0 = off).
     pub(crate) check_every: u64,
-    /// Observability: structured trace sink, latency probes, metrics
-    /// sampler, and flight recorder. `None` (the default) keeps every
-    /// hook to one never-taken branch — the zero-cost-when-off guarantee.
-    pub(crate) obs: Option<Box<obs::Obs>>,
+    /// Every passive instrument: trace sink, flight recorder, latency
+    /// probe, sampler, race detector, value tracker and miss classifier.
+    /// `None` (the default) keeps every hook to one never-taken branch —
+    /// the zero-cost-when-off guarantee (see [`Machine::observe`]).
+    pub(crate) observers: Option<Box<obs::Observers>>,
     /// First-touch page→home assignments (only under
     /// `Placement::FirstTouch`), `Vec`-indexed by page number.
     pub(crate) page_home: LineMap<NodeId>,
@@ -209,15 +210,9 @@ pub struct Machine {
     pub(crate) watchdog: Option<Cycle>,
     /// Every lock grant in the order the homes issued them, as
     /// `(lock, grantee)` — the synchronization order fed to the reference
-    /// interpreter. Only recorded when value tracking is on.
+    /// interpreter. Always recorded: by the lock service on each grant and
+    /// by crash recovery when it passes a dead holder's lock on.
     pub(crate) grant_log: Vec<(lrc_sim::LockId, NodeId)>,
-    /// Symbolic last-writer tracking for the DRF ⇒ SC-equivalence check
-    /// (None = off).
-    pub(crate) values: Option<values::ValueTracker>,
-    /// Online happens-before race detector (`None` = off, the default).
-    /// Like `obs` and `values`, every hook is one never-taken branch when
-    /// off — the zero-cost-when-off guarantee the golden fingerprints pin.
-    pub(crate) race: Option<Box<lrc_race::RaceDetector>>,
     /// Recycled `AckCollection::waiters` vectors: completed collections
     /// return their (cleared) allocation here and new collections reuse it,
     /// so the steady-state ack path allocates nothing.
@@ -282,12 +277,11 @@ impl Clone for Machine {
             net: self.net.clone(),
             queue: self.queue.clone(),
             stats: self.stats.clone(),
-            classifier: self.classifier.clone(),
             workload: self.workload.fork().expect("workload does not support fork()"),
             finished: self.finished,
             max_cycles: self.max_cycles,
             check_every: self.check_every,
-            obs: self.obs.clone(),
+            observers: self.observers.clone(),
             page_home: self.page_home.clone(),
             busy_info: self.busy_info.clone(),
             forward_seq: self.forward_seq,
@@ -295,8 +289,6 @@ impl Clone for Machine {
             xmit: self.xmit.clone(),
             watchdog: self.watchdog,
             grant_log: self.grant_log.clone(),
-            values: self.values.clone(),
-            race: self.race.clone(),
             // Pools hold only spare capacity, never state: fresh ones are
             // equivalent and keep snapshots lean.
             waiter_pool: Vec::new(),
@@ -353,12 +345,11 @@ impl Machine {
             net,
             queue: EventQueue::new(),
             stats,
-            classifier: None,
             workload: Box::new(NullWorkload),
             finished: 0,
             max_cycles: u64::MAX / 4,
             check_every: 0,
-            obs: None,
+            observers: None,
             page_home: LineMap::new(),
             busy_info: LineMap::new(),
             forward_seq: 0,
@@ -366,8 +357,6 @@ impl Machine {
             xmit: None,
             watchdog: None,
             grant_log: Vec::new(),
-            values: None,
-            race: None,
             waiter_pool: Vec::new(),
             inval_scratch: Vec::new(),
             nacks_given: LineMap::new(),
@@ -440,7 +429,8 @@ impl Machine {
     /// the checker's final-memory comparison against the reference
     /// sequential interpreter.
     pub fn with_value_tracking(mut self) -> Self {
-        self.values = Some(values::ValueTracker::new(self.cfg.num_procs));
+        let n = self.cfg.num_procs;
+        self.observers_mut().values = Some(values::ValueTracker::new(n));
         self
     }
 
@@ -450,10 +440,8 @@ impl Machine {
     /// per-word epoch metadata. Results land in [`MachineStats::races`] at
     /// end of run; see [`Machine::race_stats`] for the live view.
     pub fn with_race_detection(mut self) -> Self {
-        self.race = Some(Box::new(lrc_race::RaceDetector::new(
-            self.cfg.num_procs,
-            self.cfg.word_size as u64,
-        )));
+        let (n, word) = (self.cfg.num_procs, self.cfg.word_size as u64);
+        self.observers_mut().race = Some(lrc_race::RaceDetector::new(n, word));
         self
     }
 
@@ -461,19 +449,20 @@ impl Machine {
     /// off). After a completed run they are also folded into
     /// [`MachineStats::races`].
     pub fn race_stats(&self) -> Option<&lrc_sim::RaceStats> {
-        self.race.as_ref().map(|r| r.stats())
+        Some(self.observers.as_deref()?.race.as_ref()?.stats())
     }
 
     /// True when race detection is enabled and has found no race so far.
     /// `None` when detection is off (no verdict — the DRF⇒SC value checks
     /// then rest on the workload's unchecked promise).
     pub fn race_free(&self) -> Option<bool> {
-        self.race.as_ref().map(|r| r.race_free())
+        Some(self.observers.as_deref()?.race.as_ref()?.race_free())
     }
 
     /// Enable miss classification (Table-2 instrumentation). Slows the run.
     pub fn with_classification(mut self) -> Self {
-        self.classifier = Some(Classifier::new(self.cfg.num_procs, self.cfg.words_per_line()));
+        let (n, words) = (self.cfg.num_procs, self.cfg.words_per_line());
+        self.observers_mut().classifier = Some(lrc_classify::Classifier::new(n, words));
         self
     }
 
@@ -489,7 +478,7 @@ impl Machine {
     /// the machine returned by [`Machine::run_keep`] via
     /// [`Machine::trace_records`], or export it with `lrc_trace::export`.
     pub fn with_trace_filter(mut self, filter: TraceFilter, cap: usize) -> Self {
-        let o = self.obs_mut();
+        let o = self.observers_mut();
         o.filter = filter;
         o.sink = Some(Box::new(RingSink::new(cap)));
         self
@@ -499,7 +488,7 @@ impl Machine {
     /// caller-supplied sink (unbounded capture, streaming, custom
     /// aggregation).
     pub fn with_trace_sink(mut self, sink: Box<dyn TraceSink>, filter: TraceFilter) -> Self {
-        let o = self.obs_mut();
+        let o = self.observers_mut();
         o.filter = filter;
         o.sink = Some(sink);
         self
@@ -510,7 +499,7 @@ impl Machine {
     /// counts, folded into [`MachineStats::latencies`] at end of run.
     pub fn with_latency_histograms(mut self) -> Self {
         let n = self.cfg.num_procs;
-        self.obs_mut().probe = Some(obs::Probe::new(n));
+        self.observers_mut().probe = Some(obs::Probe::new(n));
         self
     }
 
@@ -521,7 +510,7 @@ impl Machine {
     /// [`Machine::time_series`]).
     pub fn with_sampler(mut self, interval: Cycle) -> Self {
         let n = self.cfg.num_procs;
-        self.obs_mut().sampler = Some(obs::Sampler::new(interval, n));
+        self.observers_mut().sampler = Some(obs::Sampler::new(interval, n));
         self
     }
 
@@ -531,7 +520,7 @@ impl Machine {
     /// default-depth recorder automatically.
     pub fn with_flight_recorder(mut self, cap: usize) -> Self {
         let n = self.cfg.num_procs;
-        self.obs_mut().recorder = Some(FlightRecorder::new(n, cap));
+        self.observers_mut().recorder = Some(FlightRecorder::new(n, cap));
         self
     }
 
@@ -541,7 +530,7 @@ impl Machine {
     /// raw emission order is not time-monotone; this accessor's order is.
     pub fn trace_records(&self) -> Vec<TraceRecord> {
         let mut v = self
-            .obs
+            .observers
             .as_ref()
             .and_then(|o| o.sink.as_ref())
             .map(|s| s.snapshot())
@@ -552,12 +541,12 @@ impl Machine {
 
     /// The sampler's time series so far (`None` when sampling is off).
     pub fn time_series(&self) -> Option<&TimeSeries> {
-        self.obs.as_ref().and_then(|o| o.sampler.as_ref()).map(|s| &s.series)
+        self.observers.as_ref().and_then(|o| o.sampler.as_ref()).map(|s| &s.series)
     }
 
     /// The flight recorder's merged tail (empty when no recorder is armed).
     pub fn flight_tail(&self) -> Vec<TraceRecord> {
-        self.obs
+        self.observers
             .as_ref()
             .and_then(|o| o.recorder.as_ref())
             .map(|r| r.tail())
@@ -568,7 +557,7 @@ impl Machine {
     /// off). After a completed run they are folded into
     /// [`MachineStats::latencies`] and this view is empty again.
     pub fn latency_stats(&self) -> Option<&LatencyStats> {
-        self.obs.as_ref().and_then(|o| o.probe.as_ref()).map(|p| &p.hist)
+        self.observers.as_ref().and_then(|o| o.probe.as_ref()).map(|p| &p.hist)
     }
 
     /// Sweep the global coherence invariants every `events` handled events,
@@ -679,8 +668,7 @@ impl Machine {
         // Seed the sampler's first tick only when one is configured, so an
         // unsampled run's event stream is bit-identical to builds without
         // the sampler.
-        if let Some(iv) = self.obs.as_ref().and_then(|o| o.sampler.as_ref()).map(|s| s.interval)
-        {
+        if let Some(iv) = self.sample_interval() {
             self.push_ev(iv, 0, Event::Sample);
         }
         if self.crash.is_some() {
@@ -701,7 +689,7 @@ impl Machine {
             || !self.cfg.resources.is_unbounded()
         {
             let n = self.cfg.num_procs;
-            let o = self.obs_mut();
+            let o = self.observers_mut();
             if o.recorder.is_none() {
                 o.recorder = Some(FlightRecorder::new(n, obs::DEFAULT_FLIGHT_CAP));
             }
@@ -769,12 +757,8 @@ impl Machine {
         }
 
         self.collect_fault_stats();
-        if let Some(probe) = self.obs.as_deref_mut().and_then(|o| o.probe.as_mut()) {
-            let folded = std::mem::take(&mut probe.hist);
-            self.stats.latencies.merge(&folded);
-        }
-        if let Some(r) = self.race.as_ref() {
-            self.stats.races = r.stats().clone();
+        if let Some(o) = self.observers.as_deref_mut() {
+            o.fold_into(&mut self.stats);
         }
         for (i, n) in self.nodes.iter().enumerate() {
             self.stats.procs[i].pp_busy = n.pp.busy_cycles();
@@ -820,16 +804,12 @@ impl Machine {
             Event::NiRetry { msg, attempts } => {
                 self.pending_ni_retries -= 1;
                 self.stats.resources.ni_retries += 1;
-                if self.obs.is_some() {
-                    self.obs_resource(t, msg.src, ResourceEv::NiRetry);
-                }
+                self.observe(t, msg.src, Seen::Resource(ResourceEv::NiRetry));
                 self.submit_bounded_attempt(t, msg, attempts);
             }
             Event::NackRetry { msg } => {
                 self.stats.resources.nack_retries += 1;
-                if self.obs.is_some() {
-                    self.obs_resource(t, msg.src, ResourceEv::NackRetry);
-                }
+                self.observe(t, msg.src, Seen::Resource(ResourceEv::NackRetry));
                 self.send(t, msg.src, msg.dst, msg.kind);
             }
             Event::Sample => {
@@ -946,7 +926,7 @@ impl Machine {
             abandoned_msgs,
             pending_events: self.queue.len(),
             recent_events: self
-                .obs
+                .observers
                 .as_ref()
                 .and_then(|o| o.recorder.as_ref())
                 .map(|r| r.render_tail())
@@ -1075,9 +1055,7 @@ impl Machine {
             self.cfg.word_size as u64,
         );
         self.stats.procs[src].traffic.record(kind.traffic_class(), bytes);
-        if self.obs.is_some() {
-            self.obs_msg_send(now, src, dst, kind);
-        }
+        self.observe(now, src, Seen::Sent { dst, kind });
         if self.xmit.is_some() && src != dst {
             self.xmit_send(now, Msg { src, dst, kind });
             return;
@@ -1118,24 +1096,21 @@ impl Machine {
             Ok(arrival) => self.push_ev(arrival, msg.src, Event::Msg(msg)),
             Err(busy) => {
                 let delay = self.cfg.resources.backoff(attempts);
-                let r = &mut self.stats.resources;
-                r.ni_rejects += 1;
-                r.backpressure_stall_cycles += delay;
-                self.last_ni_reject = Some((busy.node, busy.occupancy, busy.cap));
+                self.stats.resources.backpressure_stall_cycles += delay;
                 self.pending_ni_retries += 1;
-                if self.obs.is_some() {
-                    self.obs_resource(
-                        now,
-                        busy.node,
-                        ResourceEv::NiReject {
-                            occupancy: busy.occupancy.min(u32::MAX as usize) as u32,
-                            cap: busy.cap.min(u32::MAX as usize) as u32,
-                        },
-                    );
-                }
+                self.ni_rejected(now, busy);
                 self.push_ev(now + delay, msg.src, Event::NiRetry { msg, attempts: attempts + 1 });
             }
         }
+    }
+
+    /// Account one send a full NI queue rejected.
+    fn ni_rejected(&mut self, now: Cycle, busy: lrc_mesh::NiBusy) {
+        self.stats.resources.ni_rejects += 1;
+        self.last_ni_reject = Some((busy.node, busy.occupancy, busy.cap));
+        let clamp = |n: usize| n.min(u32::MAX as usize) as u32;
+        let ev = ResourceEv::NiReject { occupancy: clamp(busy.occupancy), cap: clamp(busy.cap) };
+        self.observe(now, busy.node, Seen::Resource(ev));
     }
 
     // ---- link-layer reliable delivery (active fault plans only) ------------
@@ -1164,22 +1139,11 @@ impl Machine {
         );
         // Finite NI queues: a full queue rejects this transmission attempt
         // outright (nothing reaches the wire); the retry timer armed below
-        // re-attempts after backoff, so the PR 3 retransmit machinery
-        // doubles as the backpressure loop under fault plans.
+        // re-attempts after backoff, so the link layer's retransmit
+        // machinery doubles as the backpressure loop under fault plans.
         let ni_rejected = match self.net.ni_busy(now, msg.src, msg.dst) {
             Some(busy) => {
-                self.stats.resources.ni_rejects += 1;
-                self.last_ni_reject = Some((busy.node, busy.occupancy, busy.cap));
-                if self.obs.is_some() {
-                    self.obs_resource(
-                        now,
-                        busy.node,
-                        ResourceEv::NiReject {
-                            occupancy: busy.occupancy.min(u32::MAX as usize) as u32,
-                            cap: busy.cap.min(u32::MAX as usize) as u32,
-                        },
-                    );
-                }
+                self.ni_rejected(now, busy);
                 true
             }
             None => false,
@@ -1201,6 +1165,11 @@ impl Machine {
                 .backoff(attempts);
         if let Some(inf) = self.xmit.as_deref_mut().and_then(|xm| xm.in_flight.get_mut(&seq)) {
             inf.next_deadline = deadline;
+            // A rejected attempt never reached the wire, so it must not
+            // spend the retry budget: a full queue is not a lost copy.
+            if ni_rejected {
+                inf.attempts = inf.attempts.saturating_sub(1);
+            }
         }
         self.push_ev(deadline, msg.src, Event::RetryTimer { seq });
     }
@@ -1370,9 +1339,7 @@ impl Machine {
         let done = self.nodes[m.dst].pp.occupy(t, self.cfg.write_notice_cost);
         let delay = self.cfg.resources.backoff(attempt);
         self.stats.resources.backpressure_stall_cycles += delay;
-        if self.obs.is_some() {
-            self.obs_resource(t, m.dst, ResourceEv::BusyNack { attempt: attempt + 1 });
-        }
+        self.observe(t, m.dst, Seen::Resource(ResourceEv::BusyNack { attempt: attempt + 1 }));
         let kind = if for_write {
             MsgKind::WriteReq { line, had_copy, words }
         } else {
@@ -1481,9 +1448,7 @@ impl Machine {
     /// Route a received message to the right handler.
     fn handle_msg(&mut self, t: Cycle, m: Msg) {
         use MsgKind::*;
-        if self.obs.is_some() {
-            self.obs_msg_recv(t, m);
-        }
+        self.observe(t, m.dst, Seen::Delivered { src: m.src, kind: m.kind });
         if let Some(c) = self.crash.as_deref_mut() {
             if m.src != m.dst {
                 // Any delivery refreshes the receiver's lease on the

@@ -1,27 +1,96 @@
-//! The machine's observability wiring: structured trace emission, latency
-//! probes, the interval metrics sampler, and the flight recorder.
+//! The observer set: every passive instrument watching the machine, and
+//! the one entry point through which the machine reports to them.
 //!
-//! Everything hangs off `Machine::obs`, a single `Option<Box<Obs>>`: a
-//! machine built without observability carries a `None` and every hot-path
-//! hook is one never-taken branch — the tracing-off run is bit-identical
-//! to a build without this module (the golden-fingerprint CI stage holds
-//! that line). The cold emission paths live out-of-line here.
+//! Seven instruments can watch a run: the structured trace sink, the
+//! flight recorder, the latency probe, the interval metrics sampler, the
+//! happens-before race detector, the symbolic value tracker and the miss
+//! classifier. All of them live in one [`Observers`] set behind
+//! `Machine::observers`. A hook site states one fact as a [`Seen`] event
+//! and calls [`Machine::observe`]; only this module decides which
+//! instruments consume which event. A machine built without observers
+//! carries a `None`, so every site costs one never-taken branch and the
+//! run is bit-identical to a build without this module (the golden
+//! fingerprints hold that line). Observers never feed back into the
+//! simulation, and `tests/observer_pins.rs` pins every instrument's output
+//! byte for byte.
 
+use super::values::ValueTracker;
 use super::{Event, Machine};
-use crate::msg::{Msg, MsgKind};
-use lrc_sim::{Breakdown, Cycle, FxHashMap, LatencyStats, NodeId};
+use crate::msg::MsgKind;
+use lrc_classify::Classifier;
+use lrc_mem::LineState;
+use lrc_race::RaceDetector;
+use lrc_sim::{
+    Addr, Breakdown, Cycle, FxHashMap, LatencyStats, LineAddr, MachineConfig, MachineStats, NodeId,
+};
 use lrc_trace::{
-    FlightRecorder, MsgMeta, RecData, ResourceEv, StateChange, SyncOp, TimeSeries, TraceFilter,
-    TraceRecord, TraceSink,
+    CrashEv, FlightRecorder, MsgMeta, RecData, ResourceEv, StateChange, SyncOp, TimeSeries,
+    TraceFilter, TraceRecord, TraceSink,
 };
 
 /// Flight-recorder depth per node when the machine arms it automatically
 /// for at-risk runs (watchdog, fault plan, or finite resources).
 pub(crate) const DEFAULT_FLIGHT_CAP: usize = 64;
 
-/// All observability state, boxed behind one `Option` on the machine.
+/// One fact about the simulated machine, reported through
+/// [`Machine::observe`] together with its time and the node it happened at.
+///
+/// The race detector's happens-before model rides on where the machine
+/// reports these facts:
+///
+/// * [`Seen::Read`] and [`Seen::Write`] fire at op issue, exactly once per
+///   program-order reference (a store that finds the write buffer full is
+///   deferred *before* it is reported).
+/// * [`SyncOp::Release`] fires at the `LockRel` send, on the immediate path
+///   and on the fence-delayed path alike. The kernel processes that send
+///   before the grant it causes, so the lock clock is published before any
+///   acquirer joins it.
+/// * [`SyncOp::AcquireDone`] fires once the `LockGrant` has arrived, before
+///   the processor resumes: everything past releasers did is ordered before
+///   every op the acquirer issues next.
+/// * [`SyncOp::BarrierArrive`] and [`SyncOp::BarrierDone`] fire at the
+///   `BarrierArrive` send and after the `BarrierRelease` receipt. The
+///   machine blocks arrivals until the episode completes, so at most one
+///   episode per barrier gathers at a time and the completed clock is fixed
+///   before any departure joins it.
+/// * A fence reports nothing: `Op::Fence` forces local invalidations but
+///   synchronizes with nobody, so it carries no happens-before edge. It is
+///   the paper's escape hatch *for* racy programs and must not silence the
+///   detector.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Seen {
+    /// A protocol message left the node for `dst`.
+    Sent { dst: NodeId, kind: MsgKind },
+    /// A protocol message from `src` arrived at the node.
+    Delivered { src: NodeId, kind: MsgKind },
+    /// The processor issued a load of byte address `addr`.
+    Read { addr: Addr },
+    /// The processor issued a store to `addr`, word `word` of `line`.
+    Write { addr: Addr, line: LineAddr, word: usize },
+    /// A reference to word `word` of `line` missed, or (`upgrade`) found a
+    /// read-only copy it must upgrade: the Table-2 classification point.
+    Miss { line: LineAddr, word: usize, upgrade: bool },
+    /// The dirty words in `words` of `line` left the node toward home memory
+    /// (write-through, write-back, 3-hop copy-back, or a deferred notice).
+    Flush { line: LineAddr, words: u64 },
+    /// `line` was brought into the cache with permission `state`.
+    Install { line: LineAddr, state: LineState },
+    /// The node's copy of `line` was dropped, on receipt of a coherence
+    /// message (`eager`) or at an acquire.
+    Invalidate { line: LineAddr, eager: bool },
+    /// `line` left the cache for capacity or conflict.
+    Evict { line: LineAddr },
+    /// A synchronization leg on lock or barrier `id`.
+    Sync { op: SyncOp, id: u32 },
+    /// A finite-resource event.
+    Resource(ResourceEv),
+    /// A crash-stop failure or recovery event.
+    Crash(CrashEv),
+}
+
+/// Every installed instrument, boxed behind one `Option` on the machine.
 #[derive(Debug, Clone, Default)]
-pub(crate) struct Obs {
+pub(crate) struct Observers {
     /// Where filtered records go (`None` = no structured trace).
     pub(crate) sink: Option<Box<dyn TraceSink>>,
     /// Which records reach the sink (the recorder sees everything).
@@ -38,6 +107,139 @@ pub(crate) struct Obs {
     pub(crate) sends: u64,
     /// Protocol messages received.
     pub(crate) recvs: u64,
+    /// Online happens-before race detector.
+    pub(crate) race: Option<RaceDetector>,
+    /// Symbolic last-writer tracking for the DRF ⇒ SC check.
+    pub(crate) values: Option<ValueTracker>,
+    /// Table-2 miss classification.
+    pub(crate) classifier: Option<Classifier>,
+}
+
+impl Observers {
+    /// Route one event to the instruments that consume it. Out of line:
+    /// only instrumented runs get here.
+    #[inline(never)]
+    fn see(
+        &mut self,
+        at: Cycle,
+        node: NodeId,
+        ev: Seen,
+        cfg: &MachineConfig,
+        stats: &mut MachineStats,
+    ) {
+        let meta = |kind: MsgKind| MsgMeta {
+            name: kind.name(),
+            class: kind.msg_class(),
+            line: kind.line().map(|l| l.0),
+            bytes: kind.bytes(cfg.ctrl_msg_bytes, cfg.line_size as u64, cfg.word_size as u64),
+        };
+        match ev {
+            Seen::Sent { dst, kind } => {
+                self.sends += 1;
+                self.trace(at, node, || RecData::Send { src: node, dst, msg: meta(kind) });
+                if let Some(p) = self.probe.as_mut() {
+                    p.on_send(at, node, kind);
+                }
+            }
+            Seen::Delivered { src, kind } => {
+                self.recvs += 1;
+                self.trace(at, node, || RecData::Recv { src, dst: node, msg: meta(kind) });
+                if let Some(p) = self.probe.as_mut() {
+                    p.on_recv(at, node, kind);
+                }
+            }
+            Seen::Read { addr } => {
+                if let Some(r) = self.race.as_mut() {
+                    r.on_read(node, addr);
+                }
+            }
+            Seen::Write { addr, line, word } => {
+                if let Some(c) = self.classifier.as_mut() {
+                    c.record_write(node, line, word);
+                }
+                if let Some(v) = self.values.as_mut() {
+                    v.on_write(node, line.0, word);
+                }
+                if let Some(r) = self.race.as_mut() {
+                    r.on_write(node, addr);
+                }
+            }
+            Seen::Miss { line, word, upgrade } => {
+                if let Some(c) = self.classifier.as_mut() {
+                    let class = c.classify_miss(node, line, word, upgrade);
+                    stats.procs[node].miss_classes.record(class);
+                }
+            }
+            Seen::Flush { line, words } => {
+                if let Some(v) = self.values.as_mut() {
+                    v.on_flush(node, line.0, words);
+                }
+            }
+            Seen::Install { line, state } => {
+                let state = match state {
+                    LineState::ReadOnly => "read-only",
+                    LineState::ReadWrite => "read-write",
+                    LineState::Invalid => "invalid",
+                };
+                let change = StateChange::Install { state };
+                self.trace(at, node, || RecData::State { line: line.0, change });
+            }
+            Seen::Invalidate { line, eager } => {
+                if let Some(c) = self.classifier.as_mut() {
+                    c.on_invalidate(node, line);
+                }
+                let change = StateChange::Invalidate { eager };
+                self.trace(at, node, || RecData::State { line: line.0, change });
+            }
+            Seen::Evict { line } => {
+                if let Some(c) = self.classifier.as_mut() {
+                    c.on_evict(node, line);
+                }
+            }
+            Seen::Sync { op, id } => {
+                if let Some(r) = self.race.as_mut() {
+                    match op {
+                        SyncOp::AcquireStart => {}
+                        SyncOp::AcquireDone => r.on_acquire(node, id),
+                        SyncOp::Release => r.on_release(node, id),
+                        SyncOp::BarrierArrive => r.on_barrier_arrive(node, id),
+                        SyncOp::BarrierDone => r.on_barrier_depart(node, id),
+                    }
+                }
+                self.trace(at, node, || RecData::Sync { op, id: u64::from(id) });
+            }
+            Seen::Resource(ev) => self.trace(at, node, || RecData::Resource { ev }),
+            Seen::Crash(ev) => self.trace(at, node, || RecData::Crash { ev }),
+        }
+    }
+
+    /// Stamp a record and hand it to the flight recorder (always) and the
+    /// sink (filtered). Without either, no record is built.
+    fn trace(&mut self, at: Cycle, node: NodeId, data: impl FnOnce() -> RecData) {
+        if self.recorder.is_none() && self.sink.is_none() {
+            return;
+        }
+        let rec = TraceRecord { at, seq: self.seq, node, data: data() };
+        self.seq += 1;
+        if let Some(r) = self.recorder.as_mut() {
+            r.push(&rec);
+        }
+        if let Some(s) = self.sink.as_mut() {
+            if self.filter.accepts(&rec) {
+                s.record(&rec);
+            }
+        }
+    }
+
+    /// End of run: fold the latency histograms and race reports into `stats`.
+    pub(crate) fn fold_into(&mut self, stats: &mut MachineStats) {
+        if let Some(p) = self.probe.as_mut() {
+            stats.latencies.merge(&std::mem::take(&mut p.hist));
+        }
+        if let Some(r) = self.race.as_ref() {
+            stats.races = r.stats().clone();
+        }
+    }
 }
 
 const TAG_READ: u8 = 0;
@@ -168,106 +370,24 @@ impl Sampler {
 }
 
 impl Machine {
-    /// The observability block, created on first use.
-    pub(crate) fn obs_mut(&mut self) -> &mut Obs {
-        self.obs.get_or_insert_with(Box::default)
-    }
-
-    /// Record into the flight recorder (always) and the sink (filtered).
-    fn emit(obs: &mut Obs, rec: TraceRecord) {
-        if let Some(r) = obs.recorder.as_mut() {
-            r.push(&rec);
-        }
-        if let Some(s) = obs.sink.as_mut() {
-            if obs.filter.accepts(&rec) {
-                s.record(&rec);
-            }
+    /// Report `ev`, which happened at `node` at time `at`, to the observer
+    /// set: the one entry point every hook site calls.
+    #[inline]
+    pub(crate) fn observe(&mut self, at: Cycle, node: NodeId, ev: Seen) {
+        if let Some(o) = self.observers.as_deref_mut() {
+            o.see(at, node, ev, &self.cfg, &mut self.stats);
         }
     }
 
-    fn msg_meta(&self, kind: MsgKind) -> MsgMeta {
-        MsgMeta {
-            name: kind.name(),
-            class: kind.msg_class(),
-            line: kind.line().map(|l| l.0),
-            bytes: kind.bytes(
-                self.cfg.ctrl_msg_bytes,
-                self.cfg.line_size as u64,
-                self.cfg.word_size as u64,
-            ),
-        }
-    }
-
-    /// A protocol message left `src` (callers guard on `obs.is_some()`).
-    pub(crate) fn obs_msg_send(&mut self, now: Cycle, src: NodeId, dst: NodeId, kind: MsgKind) {
-        let meta = self.msg_meta(kind);
-        let Some(obs) = self.obs.as_deref_mut() else { return };
-        obs.sends += 1;
-        let seq = obs.seq;
-        obs.seq += 1;
-        let rec =
-            TraceRecord { at: now, seq, node: src, data: RecData::Send { src, dst, msg: meta } };
-        Self::emit(obs, rec);
-        if let Some(p) = obs.probe.as_mut() {
-            p.on_send(now, src, kind);
-        }
-    }
-
-    /// A protocol message arrived at its destination.
-    pub(crate) fn obs_msg_recv(&mut self, now: Cycle, m: Msg) {
-        let meta = self.msg_meta(m.kind);
-        let Some(obs) = self.obs.as_deref_mut() else { return };
-        obs.recvs += 1;
-        let seq = obs.seq;
-        obs.seq += 1;
-        let rec = TraceRecord {
-            at: now,
-            seq,
-            node: m.dst,
-            data: RecData::Recv { src: m.src, dst: m.dst, msg: meta },
-        };
-        Self::emit(obs, rec);
-        if let Some(p) = obs.probe.as_mut() {
-            p.on_recv(now, m.dst, m.kind);
-        }
-    }
-
-    /// A synchronization operation happened at `node`.
-    pub(crate) fn obs_sync(&mut self, now: Cycle, node: NodeId, op: SyncOp, id: u64) {
-        let Some(obs) = self.obs.as_deref_mut() else { return };
-        let seq = obs.seq;
-        obs.seq += 1;
-        Self::emit(obs, TraceRecord { at: now, seq, node, data: RecData::Sync { op, id } });
-    }
-
-    /// A cache-line state transition happened at `node`.
-    pub(crate) fn obs_state(&mut self, now: Cycle, node: NodeId, line: u64, change: StateChange) {
-        let Some(obs) = self.obs.as_deref_mut() else { return };
-        let seq = obs.seq;
-        obs.seq += 1;
-        Self::emit(obs, TraceRecord { at: now, seq, node, data: RecData::State { line, change } });
-    }
-
-    /// A finite-resource event happened at `node`.
-    pub(crate) fn obs_resource(&mut self, now: Cycle, node: NodeId, ev: ResourceEv) {
-        let Some(obs) = self.obs.as_deref_mut() else { return };
-        let seq = obs.seq;
-        obs.seq += 1;
-        Self::emit(obs, TraceRecord { at: now, seq, node, data: RecData::Resource { ev } });
-    }
-
-    /// A crash/recovery event happened at (or was observed by) `node`.
-    pub(crate) fn obs_crash(&mut self, now: Cycle, node: NodeId, ev: lrc_trace::CrashEv) {
-        let Some(obs) = self.obs.as_deref_mut() else { return };
-        let seq = obs.seq;
-        obs.seq += 1;
-        Self::emit(obs, TraceRecord { at: now, seq, node, data: RecData::Crash { ev } });
+    /// The observer set, created on first use.
+    pub(crate) fn observers_mut(&mut self) -> &mut Observers {
+        self.observers.get_or_insert_with(Box::default)
     }
 
     /// Snapshot the sampler's gauges at `t` (the [`Event::Sample`] handler).
     pub(crate) fn take_sample(&mut self, t: Cycle) {
         // Swap the block out so gauge reads can borrow the machine freely.
-        let Some(mut obs) = self.obs.take() else { return };
+        let Some(mut obs) = self.observers.take() else { return };
         if let Some(s) = obs.sampler.as_mut() {
             let mut row = Vec::with_capacity(s.series.columns().len());
             row.push(t);
@@ -290,7 +410,7 @@ impl Machine {
             }
             s.series.push_row(row);
         }
-        self.obs = Some(obs);
+        self.observers = Some(obs);
     }
 
     /// Re-arm the sampler after a tick — only while the run is live, so a
@@ -299,9 +419,13 @@ impl Machine {
         if self.finished >= self.cfg.num_procs || self.queue.is_empty() {
             return;
         }
-        if let Some(iv) = self.obs.as_ref().and_then(|o| o.sampler.as_ref()).map(|s| s.interval)
-        {
+        if let Some(iv) = self.sample_interval() {
             self.push_ev(t + iv, 0, Event::Sample);
         }
+    }
+
+    /// The sampler's tick interval (`None` when sampling is off).
+    pub(crate) fn sample_interval(&self) -> Option<Cycle> {
+        Some(self.observers.as_deref()?.sampler.as_ref()?.interval)
     }
 }

@@ -2,11 +2,11 @@
 //! third-party traffic (eager invalidations, lazy write notices, 3-hop
 //! forwards) arriving at a node that caches the line.
 
+use super::obs::Seen;
 use super::Machine;
 use crate::msg::{Msg, MsgKind, WriteGrant};
 use lrc_mem::LineState;
 use lrc_sim::{Cycle, LineAddr};
-use lrc_trace::StateChange;
 
 impl Machine {
     /// Dispatch a message addressed to a cache/protocol processor.
@@ -130,12 +130,7 @@ impl Machine {
                 self.queue_pending_inval(p, line);
             } else if self.nodes[p].cache.invalidate(line).is_some() {
                 self.stats.procs[p].eager_invalidations += 1;
-                if let Some(c) = self.classifier.as_mut() {
-                    c.on_invalidate(p, line);
-                }
-                if self.obs.is_some() {
-                    self.obs_state(t, p, line.0, StateChange::Invalidate { eager: true });
-                }
+                self.observe(t, p, Seen::Invalidate { line, eager: true });
                 let home = self.home_of(line);
                 self.send(t, p, home, MsgKind::EvictNotify { line, was_writer: false });
             }
@@ -209,12 +204,7 @@ impl Machine {
             // Keep / await the fresh copy; just acknowledge.
         } else if self.nodes[p].cache.invalidate(line).is_some() {
             self.stats.procs[p].eager_invalidations += 1;
-            if let Some(c) = self.classifier.as_mut() {
-                c.on_invalidate(p, line);
-            }
-            if self.obs.is_some() {
-                self.obs_state(done, p, line.0, StateChange::Invalidate { eager: true });
-            }
+            self.observe(done, p, Seen::Invalidate { line, eager: true });
         } else if let Some(o) = self.nodes[p].outstanding.get_mut(&line.0) {
             // RAC race: the invalidation overtook our own read fill. The
             // fill may satisfy the one waiting load and must then drop.
@@ -282,17 +272,12 @@ impl Machine {
         // The copy-back carries the full line: the owner's unflushed dirty
         // words reach home memory (capture them before the copy is
         // invalidated or demoted below).
-        let dirty = self.nodes[p].cache.dirty_words(line);
-        self.note_flush(p, line, dirty);
+        let words = self.nodes[p].cache.dirty_words(line);
+        self.observe(done, p, Seen::Flush { line, words });
         if for_write {
             self.nodes[p].cache.invalidate(line);
-            if let Some(c) = self.classifier.as_mut() {
-                c.on_invalidate(p, line);
-            }
             self.stats.procs[p].eager_invalidations += 1;
-            if self.obs.is_some() {
-                self.obs_state(done, p, line.0, StateChange::Invalidate { eager: true });
-            }
+            self.observe(done, p, Seen::Invalidate { line, eager: true });
         } else {
             // Demote to read-only; data is being copied back to memory.
             self.nodes[p].cache.insert(line, LineState::ReadOnly);

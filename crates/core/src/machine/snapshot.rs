@@ -385,10 +385,11 @@ impl MachineSnapshot {
     /// [`SnapshotError::Unsupported`] when the machine carries state the
     /// format does not serialize — see the module docs for the refusal set.
     pub fn capture(m: &Machine) -> R<Self> {
-        if m.classifier.is_some() {
-            return Err(unsupported("miss classification is enabled"));
-        }
-        if let Some(o) = m.obs.as_deref() {
+        let obs = m.observers.as_deref();
+        if let Some(o) = obs {
+            if o.classifier.is_some() {
+                return Err(unsupported("miss classification is enabled"));
+            }
             if o.sink.is_some() {
                 return Err(unsupported("a structured trace sink is attached"));
             }
@@ -417,7 +418,7 @@ impl MachineSnapshot {
             (None, Some(c)) => Some(FaultPlan::off(0).with_crash(c.plan.clone())),
             (None, None) => None,
         };
-        let values = m.values.as_ref().map(|vt| {
+        let values = obs.and_then(|o| o.values.as_ref()).map(|vt| {
             let (seq, home, unflushed) = vt.save_parts();
             ValuesRec {
                 seq: seq.to_vec(),
@@ -449,7 +450,7 @@ impl MachineSnapshot {
             watchdog: m.watchdog,
             forward_seq: m.forward_seq,
             park_seq: m.park_seq,
-            recorder_armed: m.obs.as_deref().is_some_and(|o| o.recorder.is_some()),
+            recorder_armed: obs.is_some_and(|o| o.recorder.is_some()),
             ev_seq: m.ev_seq.clone(),
             queue: QueueRec {
                 peak: m.queue.peak_len(),
@@ -501,7 +502,7 @@ impl MachineSnapshot {
             }),
             grant_log: m.grant_log.clone(),
             values,
-            race: m.race.as_deref().map(RaceDetector::save_state),
+            race: obs.and_then(|o| o.race.as_ref()).map(RaceDetector::save_state),
             crash: m.crash.as_deref().cloned(),
             stats: m.stats.clone(),
         };
@@ -747,10 +748,11 @@ impl MachineSnapshot {
                 let words = r.words.into_iter().map(|(w, proc, seq)| (w, WriteId { proc, seq }));
                 ((r.proc, r.line), words.collect())
             });
-            m.values = Some(ValueTracker::from_parts(vr.seq, home.collect(), unflushed.collect()));
+            let vt = ValueTracker::from_parts(vr.seq, home.collect(), unflushed.collect());
+            m.observers_mut().values = Some(vt);
         }
         if let Some(st) = doc.race {
-            m.race = Some(Box::new(RaceDetector::from_state(st).map_err(corrupt)?));
+            m.observers_mut().race = Some(RaceDetector::from_state(st).map_err(corrupt)?);
         }
         m.stats = doc.stats;
         if let (Some(live), Some(c)) = (m.crash.as_deref_mut(), doc.crash) {
@@ -775,7 +777,7 @@ impl MachineSnapshot {
         // affect simulation); re-arm a default-depth recorder so wedge
         // diagnoses after a restore still carry an event tail.
         if doc.recorder_armed {
-            let o = m.obs_mut();
+            let o = m.observers_mut();
             if o.recorder.is_none() {
                 o.recorder = Some(FlightRecorder::new(np, DEFAULT_FLIGHT_CAP));
             }

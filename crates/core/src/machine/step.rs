@@ -1,6 +1,7 @@
 //! Processor front end: batched operation issue, the write-buffer pump,
 //! write retirement, and line installation / eviction side effects.
 
+use super::obs::Seen;
 use super::{Event, Machine};
 use crate::msg::MsgKind;
 use crate::node::{PendingSync, ProcStatus};
@@ -96,7 +97,7 @@ impl Machine {
     fn issue_read(&mut self, p: ProcId, now: Cycle, a: u64) -> bool {
         self.stats.procs[p].reads += 1;
         self.stats.procs[p].refs += 1;
-        self.note_race_read(p, a);
+        self.observe(now, p, Seen::Read { addr: a });
         let line = self.line_of(a);
         let hit = {
             let n = &mut self.nodes[p];
@@ -109,7 +110,7 @@ impl Machine {
         }
         self.stats.procs[p].read_misses += 1;
         let word = self.word_of(a);
-        self.classify(p, line, word, false);
+        self.observe(now, p, Seen::Miss { line, word, upgrade: false });
         let home = self.home_of_touch(line, p);
         let o = self.nodes[p].outstanding.entry(line.0).or_default();
         o.waiting_data = true;
@@ -128,11 +129,7 @@ impl Machine {
         if self.protocol == Protocol::Sc {
             self.stats.procs[p].writes += 1;
             self.stats.procs[p].refs += 1;
-            if let Some(c) = self.classifier.as_mut() {
-                c.record_write(p, line, word);
-            }
-            self.note_write(p, line, word);
-            self.note_race_write(p, a);
+            self.observe(now, p, Seen::Write { addr: a, line, word });
             // Single-probe hit check: a read-write hit is touched and
             // dirtied in place; any other state starts a transaction.
             let st = self.nodes[p].cache.write_probe(line, word);
@@ -146,7 +143,7 @@ impl Machine {
             } else {
                 self.stats.procs[p].write_misses += 1;
             }
-            self.classify(p, line, word, upgrade);
+            self.observe(now, p, Seen::Miss { line, word, upgrade });
             let home = self.home_of_touch(line, p);
             let o = self.nodes[p].outstanding.entry(line.0).or_default();
             o.waiting_data = true;
@@ -164,11 +161,7 @@ impl Machine {
         }
         self.stats.procs[p].writes += 1;
         self.stats.procs[p].refs += 1;
-        if let Some(c) = self.classifier.as_mut() {
-            c.record_write(p, line, word);
-        }
-        self.note_write(p, line, word);
-        self.note_race_write(p, a);
+        self.observe(now, p, Seen::Write { addr: a, line, word });
         let outcome = self.nodes[p].wb.push(line, word);
         debug_assert!(outcome != WbPush::Full);
         self.pump_write_buffer(p, now);
@@ -192,6 +185,9 @@ impl Machine {
             let word = words.trailing_zeros() as usize;
             let st = self.nodes[p].cache.state(line);
             let home = self.home_of_touch(line, p);
+            if st != LineState::ReadWrite {
+                self.observe(now, p, Seen::Miss { line, word, upgrade: st == LineState::ReadOnly });
+            }
             match (self.protocol, st) {
                 // Write hit on a writable line: nothing to do.
                 (_, LineState::ReadWrite) => {
@@ -204,7 +200,6 @@ impl Machine {
                 // acks complete in the background.
                 (Protocol::Erc, LineState::ReadOnly) => {
                     self.stats.procs[p].upgrades += 1;
-                    self.classify(p, line, word, true);
                     let o = self.nodes[p].outstanding.entry(line.0).or_default();
                     o.waiting_data = true;
                     o.retire_wb = true;
@@ -212,7 +207,6 @@ impl Machine {
                 }
                 (Protocol::Erc, LineState::Invalid) => {
                     self.stats.procs[p].write_misses += 1;
-                    self.classify(p, line, word, false);
                     let o = self.nodes[p].outstanding.entry(line.0).or_default();
                     o.waiting_data = true;
                     o.retire_wb = true;
@@ -224,7 +218,6 @@ impl Machine {
                 // home when the line is already cached read-only).
                 (Protocol::Lrc, LineState::ReadOnly) => {
                     self.stats.procs[p].upgrades += 1;
-                    self.classify(p, line, word, true);
                     self.nodes[p].cache.upgrade(line);
                     let o = self.nodes[p].outstanding.entry(line.0).or_default();
                     o.waiting_data = true; // the WriteReply itself
@@ -233,7 +226,6 @@ impl Machine {
                 }
                 (Protocol::Lrc, LineState::Invalid) => {
                     self.stats.procs[p].write_misses += 1;
-                    self.classify(p, line, word, false);
                     let o = self.nodes[p].outstanding.entry(line.0).or_default();
                     o.waiting_data = true;
                     o.retire_wb = true;
@@ -244,13 +236,11 @@ impl Machine {
                 // miss talks to the home (a plain data fetch).
                 (Protocol::LrcExt, LineState::ReadOnly) => {
                     self.stats.procs[p].upgrades += 1;
-                    self.classify(p, line, word, true);
                     self.nodes[p].cache.upgrade(line);
                     self.nodes[p].wb.entry_mut(idx).ready = true;
                 }
                 (Protocol::LrcExt, LineState::Invalid) => {
                     self.stats.procs[p].write_misses += 1;
-                    self.classify(p, line, word, false);
                     let o = self.nodes[p].outstanding.entry(line.0).or_default();
                     o.waiting_data = true;
                     o.retire_wb = true;
@@ -328,7 +318,7 @@ impl Machine {
 
     /// Send one write-through flush to the line's home.
     pub(crate) fn send_write_through(&mut self, p: ProcId, now: Cycle, line: LineAddr, words: u64) {
-        self.note_flush(p, line, words);
+        self.observe(now, p, Seen::Flush { line, words });
         self.nodes[p].wt_unacked += 1;
         let home = self.home_of(line);
         self.send(now, p, home, MsgKind::WriteThrough { line, words });
@@ -337,14 +327,7 @@ impl Machine {
     /// Bring `line` into `p`'s cache with the given permission, processing
     /// any eviction this causes.
     pub(crate) fn install_line(&mut self, p: ProcId, now: Cycle, line: LineAddr, state: LineState) {
-        if self.obs.is_some() {
-            let name = match state {
-                LineState::ReadOnly => "read-only",
-                LineState::ReadWrite => "read-write",
-                LineState::Invalid => "invalid",
-            };
-            self.obs_state(now, p, line.0, lrc_trace::StateChange::Install { state: name });
-        }
+        self.observe(now, p, Seen::Install { line, state });
         if let Some(ev) = self.nodes[p].cache.insert(line, state) {
             self.handle_eviction(p, now, ev);
         }
@@ -355,9 +338,7 @@ impl Machine {
     /// home-node notification the lazy directory requires.
     pub(crate) fn handle_eviction(&mut self, p: ProcId, now: Cycle, ev: Eviction) {
         let line = ev.line;
-        if let Some(c) = self.classifier.as_mut() {
-            c.on_evict(p, line);
-        }
+        self.observe(now, p, Seen::Evict { line });
         // A dropped line needs no invalidation at the next acquire.
         self.nodes[p].pending_invals.remove(&line.0);
         let home = self.home_of(line);
@@ -365,7 +346,7 @@ impl Machine {
         match self.protocol {
             Protocol::Sc | Protocol::Erc => {
                 if was_writer && ev.dirty_words != 0 {
-                    self.note_flush(p, line, ev.dirty_words);
+                    self.observe(now, p, Seen::Flush { line, words: ev.dirty_words });
                     self.nodes[p].wbk_unacked += 1;
                     self.send(now, p, home, MsgKind::WriteBack { line, words: ev.dirty_words });
                 } else {
@@ -383,21 +364,13 @@ impl Machine {
                     // Replacement forces the deferred write notice out now
                     // (this is what bounds the delayed-write table by the
                     // cache size, as the paper notes).
-                    self.note_flush(p, line, words);
+                    self.observe(now, p, Seen::Flush { line, words });
                     let o = self.nodes[p].outstanding.entry(line.0).or_default();
                     o.waiting_data = true;
                     self.send(now, p, home, MsgKind::WriteReq { line, had_copy: true, words });
                 }
                 self.send(now, p, home, MsgKind::EvictNotify { line, was_writer });
             }
-        }
-    }
-
-    /// Record a classified miss if classification is enabled.
-    pub(crate) fn classify(&mut self, p: ProcId, line: LineAddr, word: usize, upgrade: bool) {
-        if let Some(c) = self.classifier.as_mut() {
-            let cl = c.classify_miss(p, line, word, upgrade);
-            self.stats.procs[p].miss_classes.record(cl);
         }
     }
 }

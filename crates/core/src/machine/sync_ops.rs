@@ -15,12 +15,13 @@
 //!   model by starting invalidations at acquire-issue time and finishing
 //!   any new arrivals after the grant.
 
+use super::obs::Seen;
 use super::Machine;
 use crate::msg::{Msg, MsgKind};
 use crate::node::{PendingSync, ProcStatus};
 use crate::sync::LockAction;
 use lrc_sim::{Cycle, LineAddr, LockId, ProcId, StallKind};
-use lrc_trace::{StateChange, SyncOp};
+use lrc_trace::{ResourceEv, SyncOp};
 
 impl Machine {
     /// Begin a lock acquire: send the request and (lazy) start processing
@@ -28,9 +29,7 @@ impl Machine {
     pub(crate) fn begin_acquire(&mut self, p: ProcId, now: Cycle, lock: LockId) {
         let home = self.cfg.lock_home(lock);
         self.send(now, p, home, MsgKind::LockAcq { lock });
-        if self.obs.is_some() {
-            self.obs_sync(now, p, SyncOp::AcquireStart, lock as u64);
-        }
+        self.observe(now, p, Seen::Sync { op: SyncOp::AcquireStart, id: lock });
         self.block(p, now, StallKind::Sync, ProcStatus::WaitingLock(lock));
         if self.protocol.is_lazy() {
             let done = self.process_pending_invals(p, now);
@@ -52,24 +51,13 @@ impl Machine {
         let fence_ok =
             self.protocol == lrc_sim::Protocol::Sc || self.nodes[p].fence_clear(self.protocol);
         if fence_ok {
+            self.publish_release(p, now, pending);
             match pending {
-                PendingSync::LockRelease(lock) => {
-                    let home = self.cfg.lock_home(lock);
-                    self.send(now, p, home, MsgKind::LockRel { lock });
-                    self.note_race_release(p, lock);
-                    if self.obs.is_some() {
-                        self.obs_sync(now, p, SyncOp::Release, lock as u64);
-                    }
+                PendingSync::LockRelease(_) => {
                     self.stats.procs[p].breakdown.add(StallKind::Cpu, 1);
                     Some(now + 1)
                 }
                 PendingSync::Barrier(bar) => {
-                    let home = self.cfg.barrier_home(bar);
-                    self.send(now, p, home, MsgKind::BarrierArrive { bar });
-                    self.note_race_barrier_arrive(p, bar);
-                    if self.obs.is_some() {
-                        self.obs_sync(now, p, SyncOp::BarrierArrive, bar as u64);
-                    }
                     self.block(p, now, StallKind::Sync, ProcStatus::InBarrier(bar));
                     None
                 }
@@ -92,7 +80,7 @@ impl Machine {
             delayed.sort_unstable_by_key(|&(l, _)| l);
             for (l0, words) in delayed {
                 let line = LineAddr(l0);
-                self.note_flush(p, line, words);
+                self.observe(now, p, Seen::Flush { line, words });
                 let o = self.nodes[p].outstanding.entry(l0).or_default();
                 o.waiting_data = true;
                 let home = self.home_of(line);
@@ -117,27 +105,28 @@ impl Machine {
         if !self.nodes[p].fence_clear(self.protocol) {
             return;
         }
+        self.publish_release(p, t, pending);
         match pending {
+            PendingSync::LockRelease(_) => self.resume(p, t),
+            // The sync stall continues until the barrier releases.
+            PendingSync::Barrier(bar) => self.nodes[p].status = ProcStatus::InBarrier(bar),
+        }
+    }
+
+    /// The release fence has cleared: send the lock release or barrier
+    /// arrival to its home.
+    fn publish_release(&mut self, p: ProcId, t: Cycle, pending: PendingSync) {
+        let (home, kind, op, id) = match pending {
             PendingSync::LockRelease(lock) => {
-                let home = self.cfg.lock_home(lock);
-                self.send(t, p, home, MsgKind::LockRel { lock });
-                self.note_race_release(p, lock);
-                if self.obs.is_some() {
-                    self.obs_sync(t, p, SyncOp::Release, lock as u64);
-                }
-                self.resume(p, t);
+                (self.cfg.lock_home(lock), MsgKind::LockRel { lock }, SyncOp::Release, lock)
             }
             PendingSync::Barrier(bar) => {
-                let home = self.cfg.barrier_home(bar);
-                self.send(t, p, home, MsgKind::BarrierArrive { bar });
-                self.note_race_barrier_arrive(p, bar);
-                if self.obs.is_some() {
-                    self.obs_sync(t, p, SyncOp::BarrierArrive, bar as u64);
-                }
-                // The sync stall continues until the barrier releases.
-                self.nodes[p].status = ProcStatus::InBarrier(bar);
+                let kind = MsgKind::BarrierArrive { bar };
+                (self.cfg.barrier_home(bar), kind, SyncOp::BarrierArrive, bar)
             }
-        }
+        };
+        self.send(t, p, home, kind);
+        self.observe(t, p, Seen::Sync { op, id });
     }
 
     /// Fence op: force pending invalidations to be applied immediately (the
@@ -167,14 +156,8 @@ impl Machine {
                 node.pending_invals.clear();
                 node.inval_all = true;
                 self.stats.resources.wn_overflows += 1;
-                if self.obs.is_some() {
-                    let at = self.queue.now();
-                    self.obs_resource(
-                        at,
-                        p,
-                        lrc_trace::ResourceEv::WnOverflow { cap: cap.min(u32::MAX as usize) as u32 },
-                    );
-                }
+                let ev = ResourceEv::WnOverflow { cap: cap.min(u32::MAX as usize) as u32 };
+                self.observe(self.queue.now(), p, Seen::Resource(ev));
                 return;
             }
         }
@@ -255,7 +238,7 @@ impl Machine {
         }
         if self.protocol == lrc_sim::Protocol::LrcExt {
             if let Some(words) = self.nodes[p].delayed_writes.remove(&l0) {
-                self.note_flush(p, line, words);
+                self.observe(done, p, Seen::Flush { line, words });
                 let o = self.nodes[p].outstanding.entry(l0).or_default();
                 o.waiting_data = true;
                 let home = self.home_of(line);
@@ -263,12 +246,7 @@ impl Machine {
             }
         }
         if let Some(ev) = self.nodes[p].cache.invalidate(line) {
-            if let Some(c) = self.classifier.as_mut() {
-                c.on_invalidate(p, line);
-            }
-            if self.obs.is_some() {
-                self.obs_state(done, p, l0, StateChange::Invalidate { eager: false });
-            }
+            self.observe(done, p, Seen::Invalidate { line, eager: false });
             let home = self.home_of(line);
             let was_writer = ev.state == lrc_mem::LineState::ReadWrite;
             self.send(done, p, home, MsgKind::EvictNotify { line, was_writer });
@@ -305,11 +283,8 @@ impl Machine {
                 }
                 debug_assert_eq!(self.nodes[p].status, ProcStatus::WaitingLock(lock));
                 self.stats.procs[p].lock_acquires += 1;
-                self.note_race_acquire(p, lock);
                 let resume_at = self.finish_acquire(p, t);
-                if self.obs.is_some() {
-                    self.obs_sync(resume_at, p, SyncOp::AcquireDone, lock as u64);
-                }
+                self.observe(resume_at, p, Seen::Sync { op: SyncOp::AcquireDone, id: lock });
                 self.resume(p, resume_at);
             }
             MsgKind::BarrierArrive { bar } => {
@@ -333,11 +308,8 @@ impl Machine {
                 }
                 debug_assert_eq!(self.nodes[p].status, ProcStatus::InBarrier(bar));
                 self.stats.procs[p].barriers += 1;
-                self.note_race_barrier_depart(p, bar);
                 let resume_at = self.finish_acquire(p, t);
-                if self.obs.is_some() {
-                    self.obs_sync(resume_at, p, SyncOp::BarrierDone, bar as u64);
-                }
+                self.observe(resume_at, p, Seen::Sync { op: SyncOp::BarrierDone, id: bar });
                 self.resume(p, resume_at);
             }
             _ => unreachable!("not a sync message: {:?}", m.kind),

@@ -133,24 +133,6 @@ impl ValueTracker {
     }
 }
 
-impl super::Machine {
-    /// Record an issued store with the value tracker, if enabled.
-    #[inline]
-    pub(crate) fn note_write(&mut self, p: ProcId, line: lrc_sim::LineAddr, word: usize) {
-        if let Some(v) = self.values.as_mut() {
-            v.on_write(p, line.0, word);
-        }
-    }
-
-    /// Record a dirty-word flush with the value tracker, if enabled.
-    #[inline]
-    pub(crate) fn note_flush(&mut self, p: ProcId, line: lrc_sim::LineAddr, mask: u64) {
-        if let Some(v) = self.values.as_mut() {
-            v.on_flush(p, line.0, mask);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -178,7 +178,7 @@ pub struct Metric {
     pub row: String,
     /// Series label (protocol, miss class, fence interval...).
     pub series: String,
-    /// The measured value, in the experiment's [`unit`].
+    /// The measured value, in the experiment's [`unit()`].
     pub value: f64,
 }
 

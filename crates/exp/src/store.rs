@@ -84,7 +84,7 @@ pub struct IndexEntry {
     pub procs: u64,
     /// Workload seed.
     pub seed: u64,
-    /// Configuration hash from the manifest ([`UNKNOWN`] for migrated).
+    /// Configuration hash from the manifest ([`UNKNOWN`](crate::manifest::UNKNOWN) for migrated).
     pub config_hash: String,
     /// Artifact blob hash.
     pub artifact: String,

@@ -1,5 +1,5 @@
 //! The coalescing write-through buffer (Jouppi-style coalescing buffer,
-//! paper reference [12]).
+//! paper reference \[12\]).
 //!
 //! The lazy protocols use write-through caches for correctness (memory must
 //! hold a mergeable, word-granularity master copy under multiple writers),

@@ -141,7 +141,7 @@ impl NiState {
     }
 }
 
-/// Checkpointed NI queue occupancy (see [`NiState`]): per-node completion
+/// Checkpointed NI queue occupancy (see `NiState`): per-node completion
 /// times of held slots, front-sorted as the live queues keep them, plus
 /// the lifetime peaks.
 #[derive(Debug, Clone, PartialEq, Eq)]

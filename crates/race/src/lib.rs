@@ -440,11 +440,12 @@ impl RaceDetector {
         }
     }
 
-    /// Processor `p` arrives at barrier `b` (`expected` = machine size):
-    /// fold `p`'s clock into the episode and open a new segment. The
-    /// machine blocks each processor until the episode completes, so at
-    /// most one episode per barrier gathers at a time.
-    pub fn on_barrier_arrive(&mut self, p: usize, b: u32, expected: usize) {
+    /// Processor `p` arrives at barrier `b`: fold `p`'s clock into the
+    /// episode and open a new segment. An episode completes when every
+    /// processor has arrived. The machine blocks each processor until the
+    /// episode completes, so at most one episode per barrier gathers at a
+    /// time.
+    pub fn on_barrier_arrive(&mut self, p: usize, b: u32) {
         let n = self.num_procs;
         let bar = self.barriers.entry(b).or_insert_with(|| BarrierClock {
             gather: VectorClock::new(n),
@@ -454,7 +455,7 @@ impl RaceDetector {
         bar.gather.join(&self.clocks[p]);
         self.clocks[p].tick(p);
         bar.arrivals += 1;
-        if bar.arrivals == expected {
+        if bar.arrivals == n {
             bar.completed = std::mem::replace(&mut bar.gather, VectorClock::new(n));
             bar.arrivals = 0;
         }
@@ -718,16 +719,16 @@ mod tests {
     fn barrier_orders_phases() {
         let mut d = det(2);
         d.on_write(0, 0x40);
-        d.on_barrier_arrive(0, 0, 2);
-        d.on_barrier_arrive(1, 0, 2);
+        d.on_barrier_arrive(0, 0);
+        d.on_barrier_arrive(1, 0);
         d.on_barrier_depart(0, 0);
         d.on_barrier_depart(1, 0);
         d.on_read(1, 0x40); // ordered by the barrier
         d.on_write(1, 0x40);
         assert!(d.race_free());
         // Next episode reuses the same barrier id without leaking edges.
-        d.on_barrier_arrive(0, 0, 2);
-        d.on_barrier_arrive(1, 0, 2);
+        d.on_barrier_arrive(0, 0);
+        d.on_barrier_arrive(1, 0);
         d.on_barrier_depart(0, 0);
         d.on_barrier_depart(1, 0);
         d.on_read(0, 0x40);
@@ -803,7 +804,7 @@ mod tests {
         d.on_acquire(1, 0);
         d.on_read(1, 0x40);
         d.on_read(2, 0x40); // concurrent reader: promotes + races
-        d.on_barrier_arrive(0, 1, 3);
+        d.on_barrier_arrive(0, 1);
         let st = d.save_state();
         let d2 = RaceDetector::from_state(st.clone()).expect("restore");
         assert_eq!(d, d2);

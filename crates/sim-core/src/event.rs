@@ -12,8 +12,8 @@
 //! Simulation events are near-monotone: almost everything is scheduled
 //! within a couple of hundred cycles of `now` (Table-1 latencies — memory,
 //! network hops, the coalescing-buffer flush delay, the clock-skew quantum —
-//! are all well under [`HORIZON`]). Large queues exploit that with a
-//! calendar of [`HORIZON`] one-cycle-wide buckets covering the window
+//! are all well under `HORIZON`, 512 cycles). Large queues exploit that
+//! with a calendar of `HORIZON` one-cycle-wide buckets covering the window
 //! `[window_lo, window_lo + HORIZON)`; an event at time `t` in the window
 //! lives in bucket `t % HORIZON`. Because the bucket width is one cycle,
 //! every bucket holds events of exactly one time value, so each bucket is
@@ -31,12 +31,12 @@
 //! overflow events; sliding the window migrates newly-in-window overflow
 //! entries into their (necessarily empty) buckets, at most once per event.
 //!
-//! Queues that never grow past [`TINY_MAX`] pending events — the model
+//! Queues that never grow past `TINY_MAX` (64) pending events — the model
 //! checker's scenario machines, unit-test scripts — instead stay on a flat
 //! bottom tier: one (time, key)-sorted `Vec`. That keeps `Machine::clone`
 //! (which the checker performs at every explored state) a single small
 //! memcpy instead of a 512-bucket traversal. The first push that would
-//! exceed [`TINY_MAX`] promotes the queue to the calendar for the rest of
+//! exceed `TINY_MAX` promotes the queue to the calendar for the rest of
 //! its life.
 
 use crate::types::Cycle;

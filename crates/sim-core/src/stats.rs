@@ -4,7 +4,7 @@
 
 
 /// Exclusive classification of a cache miss, following the algorithm of
-/// Bianchini & Kontothanassis (paper reference [3]) as used in Table 2.
+/// Bianchini & Kontothanassis (paper reference \[3\]) as used in Table 2.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MissClass {
     /// First access by this processor to this block, ever.

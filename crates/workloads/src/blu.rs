@@ -1,5 +1,5 @@
 //! `blu` — blocked right-looking LU decomposition of an `n × n` matrix
-//! (paper: 448 × 448, reference [5] of the paper), with 16 × 16 blocks
+//! (paper: 448 × 448, reference \[5\] of the paper), with 16 × 16 blocks
 //! assigned round-robin to processors.
 //!
 //! The matrix is stored row-major, so a block's rows are 128-byte strips;

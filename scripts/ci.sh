@@ -8,6 +8,8 @@
 #             lrc-soak, and lrc-check are built here too, not silently
 #             skipped until a later stage needs them)
 #   lint    — clippy with warnings denied, across every target
+#   docs    — rustdoc with warnings denied (broken or private intra-doc
+#             links fail here)
 #   unsafe  — every crate root must carry #![forbid(unsafe_code)]
 #   tier 2  — full workspace test suites, including the model checker's
 #             bounded configs (`cargo test -p lrc-check`); the checker's
@@ -36,6 +38,9 @@ cargo test -q
 
 echo "==> lint: clippy -D warnings (workspace, all targets)"
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "==> docs: rustdoc -D warnings (workspace)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 echo "==> unsafe: crate roots must forbid unsafe_code"
 missing=0

@@ -18,6 +18,9 @@
 //! 4. **Queue-full livelock ⇒ diagnosis** — senders stuck backing off
 //!    against a full NI queue surface as [`StallReason::NiQueueFull`]
 //!    naming the node and occupancy, not an opaque cycle-limit abort.
+//! 5. **Backpressure is not loss** — under a fault plan, an attempt a full
+//!    NI queue rejects never reached the wire, so it does not spend the
+//!    link layer's retry budget.
 
 use lazy_rc::prelude::*;
 use lazy_rc::workloads::Scale;
@@ -191,4 +194,25 @@ fn ni_queue_full_yields_a_structured_diagnosis() {
     assert!(text.contains("NI queue full"), "{text}");
     assert!(text.contains("queue-full livelock"), "{text}");
     assert!(!diag.recent_events.is_empty(), "{diag}");
+}
+
+#[test]
+fn full_ni_queues_do_not_spend_the_link_retry_budget() {
+    // Under a fault plan the link layer's retry timer doubles as the NI
+    // backpressure loop. Were each rejected attempt charged to
+    // `max_retries`, the lazy protocols' write-through bursts would exhaust
+    // the budget against queues that are merely full, abandon messages,
+    // and wedge.
+    let mut cfg = MachineConfig::paper_default(PROCS);
+    cfg.resources.ni_ingress = Some(8);
+    cfg.resources.ni_egress = Some(8);
+    for p in [Protocol::Lrc, Protocol::LrcExt] {
+        let r = Machine::new(cfg.clone(), p)
+            .with_max_cycles(50_000_000_000)
+            .with_fault_plan(FaultPlan::uniform(1e-4, 0xFEED))
+            .try_run(WorkloadKind::Mp3d.build(PROCS, Scale::Tiny))
+            .unwrap_or_else(|d| panic!("{}: {d}", p.name()));
+        assert!(r.stats.resources.ni_rejects > 0, "{}: the NI queues never filled", p.name());
+        assert_eq!(r.stats.faults.retries_exhausted, 0, "{}", p.name());
+    }
 }

@@ -19,9 +19,9 @@ use lrc_json::ToJson;
 const PROCS: usize = 8;
 
 fn fnv1a64(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
-    })
+    bytes
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
 }
 
 /// A machine with every observer installed.
@@ -71,27 +71,9 @@ fn observer_outputs_are_pinned() {
     cp.lease_timeout = 4_000;
 
     let cases: [(&str, Machine, usize, usize, u64); 8] = [
-        (
-            "plain sc",
-            observed(plain(), Protocol::Sc),
-            179_331,
-            21_142_203,
-            0x24a7_49f4_db14_d085,
-        ),
-        (
-            "plain erc",
-            observed(plain(), Protocol::Erc),
-            178_003,
-            20_979_134,
-            0x803b_12c1_ea9d_91e4,
-        ),
-        (
-            "plain lrc",
-            observed(plain(), Protocol::Lrc),
-            107_693,
-            13_260_565,
-            0x50d8_dded_8eaf_6fc1,
-        ),
+        ("plain sc", observed(plain(), Protocol::Sc), 179_331, 21_142_203, 0x24a7_49f4_db14_d085),
+        ("plain erc", observed(plain(), Protocol::Erc), 178_003, 20_979_134, 0x803b_12c1_ea9d_91e4),
+        ("plain lrc", observed(plain(), Protocol::Lrc), 107_693, 13_260_565, 0x50d8_dded_8eaf_6fc1),
         (
             "plain lrc-ext",
             observed(plain(), Protocol::LrcExt),
