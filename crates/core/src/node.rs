@@ -107,7 +107,8 @@ pub struct Node {
     pub pp: TimedResource,
 
     /// Outstanding transactions by line. Fx-hashed (iteration order is
-    /// arbitrary; every order-sensitive consumer sorts).
+    /// arbitrary; every order-sensitive consumer sorts, and the checker's
+    /// fingerprint folds the table as a multiset).
     pub outstanding: FxHashMap<u64, Outstanding>,
     /// Lines to invalidate at the next acquire (lazy protocols): received
     /// write notices and weak-flagged fills. Processed in ascending line

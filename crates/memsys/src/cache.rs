@@ -293,7 +293,8 @@ impl Cache {
     }
 
     /// Iterate over all resident lines (used by invariant checks and the
-    /// model checker's fingerprint, which sorts — slot order is incidental).
+    /// model checker's fingerprint, which folds them as a multiset — slot
+    /// order is incidental).
     pub fn iter(&self) -> impl Iterator<Item = ResidentLine> + '_ {
         self.slots.iter().filter(|s| s.state != LineState::Invalid).map(|s| ResidentLine {
             line: s.line,

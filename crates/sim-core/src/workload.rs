@@ -11,6 +11,7 @@
 //! simulation of a data-race-free program.
 
 use crate::types::{Addr, BarrierId, LockId, ProcId};
+use std::sync::Arc;
 
 /// One abstract operation issued by a simulated processor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -89,14 +90,24 @@ pub trait Workload: Send {
 /// The workhorse of the protocol test suites — lets a test express an exact
 /// interleaving-constrained scenario ("P0 writes x, releases L; P1 acquires
 /// L, reads x") in a couple of lines.
+///
+/// The name and op streams never change after [`Script::new`], so they sit
+/// behind one `Arc`: a clone or [`Workload::fork`] (the model checker
+/// forks at every explored state) copies only the per-processor cursors.
 #[derive(Debug, Clone)]
 pub struct Script {
-    name: String,
+    program: Arc<Program>,
     addr_space: u64,
     num_locks: u32,
     num_barriers: u32,
-    streams: Vec<Vec<Op>>,
     cursor: Vec<usize>,
+}
+
+/// The immutable part of a [`Script`], shared by all its forks.
+#[derive(Debug)]
+struct Program {
+    name: String,
+    streams: Vec<Vec<Op>>,
 }
 
 impl Script {
@@ -121,28 +132,27 @@ impl Script {
         }
         let cursor = vec![0; streams.len()];
         Script {
-            name: name.into(),
+            program: Arc::new(Program { name: name.into(), streams }),
             addr_space: addr_space.max(64),
             num_locks,
             num_barriers,
-            streams,
             cursor,
         }
     }
 
     /// The per-processor op vectors (reference-interpreter input).
     pub fn streams(&self) -> &[Vec<Op>] {
-        &self.streams
+        &self.program.streams
     }
 }
 
 impl Workload for Script {
     fn name(&self) -> &str {
-        &self.name
+        &self.program.name
     }
 
     fn num_procs(&self) -> usize {
-        self.streams.len()
+        self.cursor.len()
     }
 
     fn addr_space(&self) -> u64 {
@@ -158,7 +168,7 @@ impl Workload for Script {
     }
 
     fn next_op(&mut self, proc: ProcId) -> Op {
-        let stream = &self.streams[proc];
+        let stream = &self.program.streams[proc];
         let i = self.cursor[proc];
         if i >= stream.len() {
             return Op::Done;
@@ -236,6 +246,21 @@ mod tests {
         assert_eq!(s.next_op(0), Op::Done);
         assert_eq!(s.next_op(1), Op::Compute(3));
         assert_eq!(s.next_op(1), Op::Done);
+    }
+
+    #[test]
+    fn forks_share_ops_and_advance_independently() {
+        let mut s = Script::new("t", vec![vec![Op::Read(0), Op::Write(8)], vec![Op::Fence]]);
+        assert_eq!(s.next_op(0), Op::Read(0));
+        let mut f = s.fork().expect("scripts fork");
+        assert_eq!(f.state_token(), s.state_token());
+        assert_eq!(f.next_op(0), Op::Write(8));
+        assert_ne!(f.state_token(), s.state_token());
+        assert_eq!(s.next_op(0), Op::Write(8));
+        assert_eq!(f.state_token(), s.state_token());
+        let c = s.clone();
+        assert!(Arc::ptr_eq(&c.program, &s.program), "a clone copies the cursors only");
+        assert_eq!((f.name(), f.num_procs()), ("t", 2));
     }
 
     #[test]
