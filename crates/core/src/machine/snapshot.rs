@@ -680,10 +680,29 @@ impl MachineSnapshot {
         }
         let mut workload = workload;
         for (p, &count) in doc.workload.ops_consumed.iter().enumerate() {
-            for _ in 0..count {
-                let _ = workload.next_op(p);
+            for i in 1..=count {
+                // A processor calls `next_op` no more once it receives
+                // `Done`, so a count past its first `Done` is corrupt (and
+                // replaying it could take up to 2^64 calls).
+                if workload.next_op(p) == Op::Done && i < count {
+                    let why = format!("{count} ops, but the workload is done after {i}");
+                    return Err(corrupt(format!("workload.ops_consumed[{p}]: {why}")));
+                }
             }
         }
+        // Every line and page key below derives from a workload address,
+        // all of which lie below `addr_space`. A key past it is corrupt,
+        // and would size a dense `LineMap` slab to the key.
+        let space = workload.addr_space();
+        let lines = space.div_ceil(m.cfg.line_size as u64);
+        let pages = space.div_ceil(m.cfg.page_size as u64);
+        let in_space = |table: &str, key: u64, bound: u64| {
+            if key < bound {
+                return Ok(());
+            }
+            let why = format!("key {key} lies past the workload's address space ({bound} keys)");
+            Err(corrupt(format!("{table}: {why}")))
+        };
         m.workload = workload;
         m.ops_consumed = doc.workload.ops_consumed;
 
@@ -705,6 +724,7 @@ impl MachineSnapshot {
 
         // Directory and home-side tables.
         for r in doc.dir {
+            in_space("dir", r.line, lines)?;
             let entry = DirEntry::from_parts(
                 r.sharers, r.writers, r.notified, r.pending, r.busy, r.overflow,
             )
@@ -712,15 +732,19 @@ impl MachineSnapshot {
             m.dir.insert(r.line, entry);
         }
         for r in doc.parked {
+            in_space("parked", r.line, lines)?;
             m.parked.insert(r.line, r.msgs.into_iter().map(|p| (p.msg, p.at)).collect());
         }
         for (page, home) in doc.page_home {
+            in_space("page_home", page, pages)?;
             m.page_home.insert(page, home);
         }
         for r in doc.busy_info {
+            in_space("busy_info", r.line, lines)?;
             m.busy_info.insert(r.line, r.ep);
         }
         for (line, n) in doc.nacks_given {
+            in_space("nacks_given", line, lines)?;
             m.nacks_given.insert(line, n);
         }
 

@@ -344,10 +344,13 @@ impl MachineConfig {
                 ),
             ));
         }
-        if !self.page_size.is_multiple_of(self.line_size) {
+        if self.page_size == 0 || !self.page_size.is_multiple_of(self.line_size) {
             return Err(ConfigError::new(
                 "page_size",
-                format!("{} must be a multiple of line_size {}", self.page_size, self.line_size),
+                format!(
+                    "{} must be a non-zero multiple of line_size {}",
+                    self.page_size, self.line_size
+                ),
             ));
         }
         if self.words_per_line() > 64 {
@@ -524,6 +527,9 @@ mod tests {
         let mut c = MachineConfig::paper_default(4);
         c.dir_pointers = Some(0);
         assert_eq!(c.validate().unwrap_err().field, "dir_pointers");
+        let mut c = MachineConfig::paper_default(4);
+        c.page_size = 0; // a multiple of every line size, but no page at all
+        assert_eq!(c.validate().unwrap_err().field, "page_size");
     }
 
     #[test]
