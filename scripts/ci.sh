@@ -12,9 +12,10 @@
 #             links fail here)
 #   unsafe  — every crate root must carry #![forbid(unsafe_code)]
 #   tier 2  — full workspace test suites, including the model checker's
-#             bounded configs (`cargo test -p lrc-check`); the checker's
-#             exhaustive sweep stays opt-in via
-#             `cargo test -p lrc-check --release -- --ignored`
+#             bounded configs (`cargo test -p lrc-check`)
+#   checker sweep — the model checker's ignored exhaustive sweep in
+#             release: 48 explorations, each held to its pinned state,
+#             terminal and depth counts
 #   perfbench — the benchmark crate (its own workspace) builds against the
 #             changed crates and its tests pass
 
@@ -55,6 +56,12 @@ done
 
 echo "==> tier 2: workspace tests"
 cargo test --workspace -q
+
+echo "==> checker sweep: every exhaustive exploration against its pinned counts"
+# Six scenarios x four protocols, with and without the race detector. A
+# fingerprint that merged or split logical states moves a count and fails
+# here; the debug tier above exhausts only the cheap runs.
+cargo test -p lrc-check --release --offline -- --ignored
 
 echo "==> perfbench: build and test the benchmark crate"
 # perfbench calls the crates' public APIs by path (MachineSnapshot's
