@@ -108,7 +108,8 @@ impl std::fmt::Display for StuckState {
 impl Machine {
     /// Install `workload` and seed the initial `ProcStep` events without
     /// running anything — the checker takes over from here with
-    /// [`Machine::step_choice`].
+    /// [`Machine::step_choice`]. [`Machine::start_run`] begins with this
+    /// and adds what a timed run needs.
     pub fn prepare(&mut self, workload: Box<dyn Workload>) {
         assert_eq!(
             workload.num_procs(),

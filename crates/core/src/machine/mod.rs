@@ -644,26 +644,16 @@ impl Machine {
         self.finish_run(run_started)
     }
 
-    /// Install `workload` and seed the event queue for a fresh run: one
-    /// `ProcStep` per processor at t=0, the flight recorder auto-armed for
-    /// at-risk runs, and the metrics sampler's first tick. Drive the run
+    /// Install `workload` and seed the event queue for a fresh run:
+    /// [`Machine::prepare`]'s one `ProcStep` per processor at t=0, then the
+    /// flight recorder auto-armed for at-risk runs, the metrics sampler's
+    /// first tick, and the crash plan's events. Drive the run
     /// with [`Machine::run_until`] and close it with
     /// [`Machine::finish_run`]; [`Machine::try_run`] composes the three.
     /// Restored checkpoints skip this — their queue already holds the
     /// mid-run events.
     pub fn start_run(&mut self, workload: Box<dyn Workload>) {
-        assert_eq!(
-            workload.num_procs(),
-            self.cfg.num_procs,
-            "workload built for a different processor count"
-        );
-        self.workload = workload;
-
-        for p in 0..self.cfg.num_procs {
-            self.nodes[p].step_scheduled = true;
-            self.push_ev(0, p, Event::ProcStep(p));
-        }
-
+        self.prepare(workload);
         self.arm_default_recorder();
         // Seed the sampler's first tick only when one is configured, so an
         // unsampled run's event stream is bit-identical to builds without
