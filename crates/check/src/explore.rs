@@ -21,26 +21,35 @@ use lrc_core::{CrashPlan, Fault, FaultPlan, Machine, StuckState, Violation};
 use lrc_sim::refint::{self, RefError};
 use lrc_sim::{FxHashSet, Protocol, RaceReport, Script};
 
-/// Machine-construction options shared by exploration, minimization
-/// replays, and report rendering. A counterexample only reproduces on a
-/// machine built with the same options it was found under.
+/// Machine-construction options shared by every checker stage: build,
+/// explore, replay, minimize and render. A counterexample only reproduces
+/// on a machine built with the same options it was found under, so each
+/// stage takes the one `BuildOpts` value and the report's reproduce line
+/// prints every option it arms.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct BuildOpts {
-    /// Arm the happens-before race detector.
+    /// Arm the happens-before race detector. Detector state is part of
+    /// [`Machine::fingerprint`], so exploration never prunes a racy path
+    /// into a clean one — at the cost of a larger state space (vector
+    /// clocks depend on lock-grant order, so converging protocol states
+    /// may carry diverging clocks). A detected race is a first-class
+    /// counterexample ([`Failure::HbRace`]), and the DRF ⇒ SC value
+    /// comparison only applies to paths the detector certifies race-free.
     pub races: bool,
     /// Crash-timing choice point: kill node `.0` after exactly `.1`
     /// handled events, with instantaneous failure detection (see
-    /// [`lrc_core::CrashPlan::kill_nth`]). Makes crash placement part of
-    /// the explored schedule, so counterexamples pin the exact
-    /// crash-vs-protocol interleaving.
+    /// [`lrc_core::CrashPlan::kill_nth`]). Installs a crash-only fault plan
+    /// (no link faults), so crash placement, detection and recovery are
+    /// part of the explored schedule and survivors must still drain to a
+    /// clean (crash-degraded) quiescent state on every interleaving.
     pub crash_nth: Option<(usize, u64)>,
-}
-
-impl BuildOpts {
-    /// Options with only the race detector toggled.
-    pub fn raced(races: bool) -> Self {
-        BuildOpts { races, ..BuildOpts::default() }
-    }
+    /// BUSY-NACK choice point: the `n`-th busy-directory encounter answers
+    /// with a retriable NACK instead of parking (see
+    /// [`Machine::with_nack_nth`]), and exploration covers every
+    /// interleaving of the NACK reply and its backoff retry against the
+    /// rest of the protocol. Only the eager protocols park at a busy home,
+    /// so under the lazy protocols the point never fires.
+    pub nack_nth: Option<u64>,
 }
 
 /// Exploration bounds.
@@ -159,29 +168,22 @@ pub struct CheckReport {
     pub counterexample: Option<Counterexample>,
 }
 
-/// Build the machine for one checking run: value tracking on, watchdog off
-/// (the checker bounds work by states, not cycles).
+/// Step budget of every schedule replay. Bounded configurations drain in
+/// well under a thousand events; the slack covers fault-injected runs that
+/// spin on retries before deadlocking.
+pub const REPLAY_STEPS: usize = 50_000;
+
+/// [`build_machine_opts`] with default options.
 pub fn build_machine(scenario: &Scenario, protocol: Protocol, fault: Fault) -> Machine {
-    let mut m = Machine::new(scenario.config(), protocol)
-        .with_fault(fault)
-        .with_value_tracking();
-    m.prepare(Box::new(scenario.script()));
-    m
+    build_machine_opts(scenario, protocol, fault, BuildOpts::default())
 }
 
-/// Like [`build_machine`], with the happens-before race detector armed.
-/// Detector state is part of [`Machine::fingerprint`], so exploration
-/// never prunes a racy path into a clean one — at the cost of a larger
-/// state space (vector clocks depend on lock-grant order, so converging
-/// protocol states may carry diverging clocks).
-pub fn build_machine_raced(scenario: &Scenario, protocol: Protocol, fault: Fault) -> Machine {
-    build_machine_opts(scenario, protocol, fault, BuildOpts::raced(true))
-}
-
-/// [`build_machine`] honoring every [`BuildOpts`] knob. A `crash_nth`
-/// option installs a crash-only fault plan (no link faults): the victim
-/// dies after exactly that many handled events, every survivor detects it
-/// instantly, and recovery runs inside the explored interleaving.
+/// Build the machine for one checking run, with every [`BuildOpts`] knob
+/// applied: value tracking on, watchdog off (the checker bounds work by
+/// states, not cycles), and the scenario's script installed.
+///
+/// # Panics
+/// If `opts.crash_nth` names a node outside the scenario.
 pub fn build_machine_opts(
     scenario: &Scenario,
     protocol: Protocol,
@@ -198,47 +200,9 @@ pub fn build_machine_opts(
         assert!(node < scenario.procs, "crash victim out of range");
         m = m.with_fault_plan(FaultPlan::off(0).with_crash(CrashPlan::kill_nth(node, n)));
     }
-    m.prepare(Box::new(scenario.script()));
-    m
-}
-
-/// Like [`build_machine`], but with a fault-injection `plan` installed on
-/// the interconnect, so the checker drives the protocol *and* the
-/// link-layer recovery machinery together. Deterministic plans
-/// ([`FaultPlan::drop_nth`]) are the natural fit: exactly one chosen
-/// message is lost, and stepping proves the retry layer recovers it — or
-/// yields the schedule on which it does not.
-pub fn build_machine_with_plan(
-    scenario: &Scenario,
-    protocol: Protocol,
-    fault: Fault,
-    plan: FaultPlan,
-) -> Machine {
-    let mut m = Machine::new(scenario.config(), protocol)
-        .with_fault(fault)
-        .with_fault_plan(plan)
-        .with_value_tracking();
-    m.prepare(Box::new(scenario.script()));
-    m
-}
-
-/// Like [`build_machine`], but with the deterministic BUSY-NACK choice
-/// point armed: the `nth` busy-directory encounter answers with a
-/// retriable NACK instead of parking (see
-/// [`lrc_core::Machine::with_nack_nth`]), and exploration then covers
-/// every interleaving of the NACK reply and its backoff retry against the
-/// rest of the protocol. Only the eager protocols park at a busy home, so
-/// under the lazy protocols this is equivalent to [`build_machine`].
-pub fn build_machine_nacked(
-    scenario: &Scenario,
-    protocol: Protocol,
-    fault: Fault,
-    nth: u64,
-) -> Machine {
-    let mut m = Machine::new(scenario.config(), protocol)
-        .with_fault(fault)
-        .with_nack_nth(nth)
-        .with_value_tracking();
+    if let Some(n) = opts.nack_nth {
+        m = m.with_nack_nth(n);
+    }
     m.prepare(Box::new(scenario.script()));
     m
 }
@@ -310,49 +274,20 @@ pub fn terminal_failure(m: &Machine, script: &Script) -> Option<Failure> {
     }
 }
 
-/// Exhaustively explore `scenario` under `protocol` (with `fault`
-/// injected), depth-first with fingerprint pruning, stopping at the first
-/// counterexample or when `limits` cut the search off.
+/// [`check_opts`] with default options.
 pub fn check(
     scenario: &Scenario,
     protocol: Protocol,
     fault: Fault,
     limits: Limits,
 ) -> CheckReport {
-    check_root(build_machine(scenario, protocol, fault), scenario, limits)
+    check_opts(scenario, protocol, fault, BuildOpts::default(), limits)
 }
 
-/// [`check`] with the happens-before race detector armed: a detected race
-/// is a first-class counterexample ([`Failure::HbRace`]), and the DRF ⇒ SC
-/// value comparison only applies to paths the detector certifies
-/// race-free.
-pub fn check_raced(
-    scenario: &Scenario,
-    protocol: Protocol,
-    fault: Fault,
-    limits: Limits,
-) -> CheckReport {
-    check_root(build_machine_raced(scenario, protocol, fault), scenario, limits)
-}
-
-/// [`check`] with the `nth` BUSY-NACK choice point armed (see
-/// [`build_machine_nacked`]): explores the NACK/backoff-retry machinery
-/// against every interleaving of the rest of the protocol.
-pub fn check_nacked(
-    scenario: &Scenario,
-    protocol: Protocol,
-    fault: Fault,
-    nth: u64,
-    limits: Limits,
-) -> CheckReport {
-    check_root(build_machine_nacked(scenario, protocol, fault, nth), scenario, limits)
-}
-
-/// [`check`] honoring every [`BuildOpts`] knob (see
-/// [`build_machine_opts`]). With `crash_nth` set, the explored tree
-/// contains the crash, detection, and recovery; surviving processors must
-/// still drain to a clean (crash-degraded) quiescent state on every
-/// interleaving.
+/// Exhaustively explore `scenario` under `protocol` (with `fault`
+/// injected) on machines built with `opts`, depth-first with fingerprint
+/// pruning, stopping at the first counterexample or when `limits` cut the
+/// search off.
 pub fn check_opts(
     scenario: &Scenario,
     protocol: Protocol,
@@ -432,55 +367,33 @@ fn check_root(root: Machine, scenario: &Scenario, limits: Limits) -> CheckReport
     report
 }
 
-/// Deterministically replay a schedule from a fresh machine: choice `i`
-/// fires event `schedule[i]` (clamped to the pending count); choices past
-/// the end fire event 0, so a truncated schedule continues with the
-/// natural event order until the machine drains. Returns the failure the
-/// path exhibits, if any, and the machine in its end state.
+/// Deterministically replay a schedule on a fresh machine built with
+/// `opts`: choice `i` fires event `schedule[i]` (clamped to the pending
+/// count); choices past the end fire event 0, so a truncated schedule
+/// continues with the natural event order until the machine drains or
+/// [`REPLAY_STEPS`] run out. Returns the failure the path exhibits, if
+/// any, and the machine in its end state.
 pub fn replay_schedule(
-    scenario: &Scenario,
-    protocol: Protocol,
-    fault: Fault,
-    schedule: &[usize],
-    max_steps: usize,
-) -> (Option<Failure>, Machine) {
-    replay_on(build_machine(scenario, protocol, fault), scenario, schedule, max_steps)
-}
-
-/// [`replay_schedule`] on a race-detecting machine — required to reproduce
-/// and minimize [`Failure::HbRace`] counterexamples.
-pub fn replay_schedule_raced(
-    scenario: &Scenario,
-    protocol: Protocol,
-    fault: Fault,
-    schedule: &[usize],
-    max_steps: usize,
-) -> (Option<Failure>, Machine) {
-    replay_on(build_machine_raced(scenario, protocol, fault), scenario, schedule, max_steps)
-}
-
-/// [`replay_schedule`] on a machine built with the given [`BuildOpts`] —
-/// required to reproduce counterexamples found under those options.
-pub fn replay_schedule_opts(
     scenario: &Scenario,
     protocol: Protocol,
     fault: Fault,
     opts: BuildOpts,
     schedule: &[usize],
-    max_steps: usize,
 ) -> (Option<Failure>, Machine) {
-    replay_on(build_machine_opts(scenario, protocol, fault, opts), scenario, schedule, max_steps)
+    replay_on(build_machine_opts(scenario, protocol, fault, opts), scenario, schedule)
 }
 
-fn replay_on(
+/// The replay loop of [`replay_schedule`], on a machine the caller built
+/// (the report renderer adds tracing to it first). Stops at the first
+/// safety violation.
+pub(crate) fn replay_on(
     mut m: Machine,
     scenario: &Scenario,
     schedule: &[usize],
-    max_steps: usize,
 ) -> (Option<Failure>, Machine) {
     let script = scenario.script();
     let mut step = 0usize;
-    while m.num_pending() > 0 && step < max_steps {
+    while m.num_pending() > 0 && step < REPLAY_STEPS {
         let want = schedule.get(step).copied().unwrap_or(0);
         let n = want.min(m.num_pending() - 1);
         m.step_choice(n);

@@ -29,6 +29,15 @@
 //! ([`minimize::minimize`]) and rendered as a protocol message timeline
 //! ([`report::render`]). Replays are deterministic: the printed schedule
 //! reproduces the exact failing interleaving via `lrc-check --replay`.
+//!
+//! Every stage — build ([`explore::build_machine_opts`]), explore
+//! ([`explore::check_opts`]), replay ([`explore::replay_schedule`]),
+//! minimize and render — takes one [`explore::BuildOpts`]: the
+//! happens-before race detector (`--races`), a crash-timing choice point
+//! (`--crash-nth`, `--crash-node`) and a BUSY-NACK choice point
+//! (`--nack-nth`), in any combination. A counterexample found under some
+//! options is minimized and rendered under the same ones, and its
+//! reproduce line carries them all.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -86,62 +95,29 @@ impl CheckOutcome {
     }
 }
 
-/// Explore one combination and, if it fails, minimize and render the
-/// counterexample.
+/// Explore one combination on machines built with `opts` and, if it
+/// fails, minimize and render the counterexample. Minimization replays and
+/// the rendering replay run under the same options, so counterexamples
+/// found with any choice point armed shrink and reproduce exactly.
 pub fn check_and_minimize(
     scenario: &Scenario,
     protocol: Protocol,
     fault: Fault,
-    limits: Limits,
-) -> CheckOutcome {
-    process(scenario, protocol, fault, limits, BuildOpts::default())
-}
-
-/// [`check_and_minimize`] with the happens-before race detector armed on
-/// every machine (exploration, minimization replays, and the rendering
-/// replay): a detected race is a first-class counterexample with a
-/// ddmin-minimized, replayable witness, and the DRF ⇒ SC value comparison
-/// only applies to paths the detector certifies race-free.
-pub fn check_and_minimize_raced(
-    scenario: &Scenario,
-    protocol: Protocol,
-    fault: Fault,
-    limits: Limits,
-) -> CheckOutcome {
-    process(scenario, protocol, fault, limits, BuildOpts::raced(true))
-}
-
-/// [`check_and_minimize`] under arbitrary [`BuildOpts`] — exploration,
-/// minimization replays, and the rendering replay all run with the same
-/// options, so crash-timing counterexamples shrink and reproduce exactly.
-pub fn check_and_minimize_opts(
-    scenario: &Scenario,
-    protocol: Protocol,
-    fault: Fault,
-    limits: Limits,
     opts: BuildOpts,
-) -> CheckOutcome {
-    process(scenario, protocol, fault, limits, opts)
-}
-
-fn process(
-    scenario: &Scenario,
-    protocol: Protocol,
-    fault: Fault,
     limits: Limits,
-    opts: BuildOpts,
 ) -> CheckOutcome {
     let report = explore::check_opts(scenario, protocol, fault, opts, limits);
-    let (minimized, rendered) = match &report.counterexample {
-        None => (None, None),
-        Some(cex) => {
+    let (minimized, rendered) = report
+        .counterexample
+        .as_ref()
+        .map(|cex| {
             let class = FailureClass::of(&cex.failure);
             let (schedule, failure) =
-                minimize::minimize_opts(scenario, protocol, fault, &cex.schedule, class, opts);
-            let min_cex = explore::Counterexample { schedule: schedule.clone(), failure };
-            let rendered = report::render_opts(scenario, protocol, fault, &min_cex, opts);
-            (Some(schedule), Some(rendered))
-        }
-    };
+                minimize::minimize(scenario, protocol, fault, opts, &cex.schedule, class);
+            let min_cex = explore::Counterexample { schedule, failure };
+            let rendered = report::render(scenario, protocol, fault, opts, &min_cex);
+            (min_cex.schedule, rendered)
+        })
+        .unzip();
     CheckOutcome { report, minimized, rendered }
 }

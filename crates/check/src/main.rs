@@ -3,11 +3,12 @@
 
 #![forbid(unsafe_code)]
 
-use lrc_check::explore::Limits;
-use lrc_check::{parse_fault, parse_protocol, report, scenario};
+use lrc_check::explore::{replay_schedule, BuildOpts, Counterexample, Limits};
+use lrc_check::{check_and_minimize, parse_fault, parse_protocol, report, scenario};
 use lrc_core::Fault;
 use lrc_sim::Protocol;
 use std::process::ExitCode;
+use std::str::FromStr;
 
 const USAGE: &str = "\
 lrc-check — bounded model checker for the lazy-release-consistency protocols
@@ -22,12 +23,16 @@ OPTIONS:
                         skip-lock-reclaim (default: none)
     --nack-nth N        answer the N-th busy-directory encounter with a
                         BUSY-NACK instead of parking, and explore the retry
-                        interleavings (eager protocols; no-op under lazy)
+                        interleavings (fires only under the eager protocols,
+                        which park at a busy home); counterexamples are
+                        minimized and replayable, and it combines with
+                        --races and --crash-nth
     --crash-nth N       crash-stop a node after exactly N handled events
                         (instantaneous detection) and explore the recovery
                         interleavings; counterexamples are minimized and
                         replayable. Survivors must still drain cleanly.
-    --crash-node V      which node --crash-nth kills (default: 0)
+    --crash-node V      which node --crash-nth kills (default: 0); must be
+                        below every selected scenario's processor count
     --races             arm the happens-before race detector: a detected
                         data race is a first-class counterexample with a
                         minimized replayable witness, and the DRF => SC
@@ -49,22 +54,19 @@ struct Args {
     scenario: String,
     protocol: String,
     fault: Fault,
-    nack_nth: Option<u64>,
-    crash_nth: Option<u64>,
-    crash_node: usize,
-    races: bool,
+    opts: BuildOpts,
     limits: Limits,
     replay: Option<Vec<usize>>,
     list: bool,
 }
 
-impl Args {
-    fn build_opts(&self) -> lrc_check::explore::BuildOpts {
-        lrc_check::explore::BuildOpts {
-            races: self.races,
-            crash_nth: self.crash_nth.map(|n| (self.crash_node, n)),
-        }
-    }
+/// The value after `flag`, parsed as a `T`.
+fn value<T: FromStr>(it: &mut impl Iterator<Item = String>, flag: &str) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    let v = it.next().ok_or(format!("{flag} needs a value"))?;
+    v.parse().map_err(|e| format!("{flag}: {e}"))
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -72,44 +74,32 @@ fn parse_args() -> Result<Args, String> {
         scenario: "all".to_string(),
         protocol: "all".to_string(),
         fault: Fault::None,
-        nack_nth: None,
-        crash_nth: None,
-        crash_node: 0,
-        races: false,
+        opts: BuildOpts::default(),
         limits: Limits::default(),
         replay: None,
         list: false,
     };
-    let mut it = std::env::args().skip(1);
+    let (mut crash_nth, mut crash_node) = (None, None);
+    let argv = std::env::args_os()
+        .skip(1)
+        .map(|a| a.into_string().map_err(|a| format!("argument {a:?} is not valid UTF-8")))
+        .collect::<Result<Vec<_>, _>>()?;
+    let mut it = argv.into_iter();
     while let Some(a) = it.next() {
-        let mut val = |flag: &str| it.next().ok_or(format!("{flag} needs a value"));
         match a.as_str() {
-            "--scenario" => args.scenario = val("--scenario")?,
-            "--protocol" => args.protocol = val("--protocol")?,
-            "--fault" => args.fault = parse_fault(&val("--fault")?)?,
-            "--nack-nth" => {
-                args.nack_nth =
-                    Some(val("--nack-nth")?.parse().map_err(|e| format!("--nack-nth: {e}"))?)
-            }
-            "--crash-nth" => {
-                args.crash_nth =
-                    Some(val("--crash-nth")?.parse().map_err(|e| format!("--crash-nth: {e}"))?)
-            }
-            "--crash-node" => {
-                args.crash_node =
-                    val("--crash-node")?.parse().map_err(|e| format!("--crash-node: {e}"))?
-            }
-            "--max-states" => {
-                args.limits.max_states =
-                    val("--max-states")?.parse().map_err(|e| format!("--max-states: {e}"))?
-            }
-            "--max-depth" => {
-                args.limits.max_depth =
-                    val("--max-depth")?.parse().map_err(|e| format!("--max-depth: {e}"))?
-            }
-            "--races" => args.races = true,
+            "--scenario" => args.scenario = value(&mut it, "--scenario")?,
+            "--protocol" => args.protocol = value(&mut it, "--protocol")?,
+            "--fault" => args.fault = parse_fault(&value::<String>(&mut it, "--fault")?)?,
+            "--nack-nth" => args.opts.nack_nth = Some(value(&mut it, "--nack-nth")?),
+            "--crash-nth" => crash_nth = Some(value(&mut it, "--crash-nth")?),
+            "--crash-node" => crash_node = Some(value(&mut it, "--crash-node")?),
+            "--max-states" => args.limits.max_states = value(&mut it, "--max-states")?,
+            "--max-depth" => args.limits.max_depth = value(&mut it, "--max-depth")?,
+            "--races" => args.opts.races = true,
             "--exhaustive" => args.limits.max_states = 0,
-            "--replay" => args.replay = Some(report::parse_schedule(&val("--replay")?)?),
+            "--replay" => {
+                args.replay = Some(report::parse_schedule(&value::<String>(&mut it, "--replay")?)?)
+            }
             "--list" => args.list = true,
             "--help" | "-h" => {
                 println!("{USAGE}");
@@ -118,6 +108,11 @@ fn parse_args() -> Result<Args, String> {
             other => return Err(format!("unknown flag {other:?} (try --help)")),
         }
     }
+    args.opts.crash_nth = match (crash_nth, crash_node) {
+        (Some(n), node) => Some((node.unwrap_or(0), n)),
+        (None, Some(_)) => return Err("--crash-node needs --crash-nth".to_string()),
+        (None, None) => None,
+    };
     Ok(args)
 }
 
@@ -164,20 +159,28 @@ fn main() -> ExitCode {
         }
     };
 
-    if let Some(schedule) = args.replay.clone() {
+    if let Some((node, _)) = args.opts.crash_nth {
+        if let Some(s) = scenarios.iter().find(|s| node >= s.procs) {
+            eprintln!(
+                "lrc-check: --crash-node {node} is out of range for scenario {} ({} processors)",
+                s.name, s.procs
+            );
+            return ExitCode::from(2);
+        }
+    }
+
+    if let Some(schedule) = args.replay {
         if scenarios.len() != 1 || protocols.len() != 1 {
             eprintln!("lrc-check: --replay needs a single --scenario and --protocol");
             return ExitCode::from(2);
         }
         let (s, p) = (&scenarios[0], protocols[0]);
-        let opts = args.build_opts();
-        let (failure, m) =
-            lrc_check::explore::replay_schedule_opts(s, p, args.fault, opts, &schedule, 50_000);
-        match failure {
-            Some(f) => {
-                let cex = lrc_check::explore::Counterexample { schedule, failure: f };
-                print!("{}", report::render_opts(s, p, args.fault, &cex, opts));
-                return ExitCode::FAILURE;
+        let (failure, m) = replay_schedule(s, p, args.fault, args.opts, &schedule);
+        return match failure {
+            Some(failure) => {
+                let cex = Counterexample { schedule, failure };
+                print!("{}", report::render(s, p, args.fault, args.opts, &cex));
+                ExitCode::FAILURE
             }
             None => {
                 println!(
@@ -186,51 +189,31 @@ fn main() -> ExitCode {
                     p.name(),
                     m.num_pending()
                 );
-                return ExitCode::SUCCESS;
+                ExitCode::SUCCESS
             }
-        }
+        };
     }
 
     let mut failed = false;
     for s in &scenarios {
         for &p in &protocols {
-            // NACK runs skip schedule minimization (the minimizer replays
-            // without the choice point armed); the raw failure is printed.
-            let (report, rendered) = match args.nack_nth {
-                Some(nth) => {
-                    let r = lrc_check::explore::check_nacked(s, p, args.fault, nth, args.limits);
-                    let rendered =
-                        r.counterexample.as_ref().map(|cex| format!("  {}\n", cex.failure));
-                    (r, rendered)
-                }
-                None => {
-                    let outcome = lrc_check::check_and_minimize_opts(
-                        s,
-                        p,
-                        args.fault,
-                        args.limits,
-                        args.build_opts(),
-                    );
-                    (outcome.report, outcome.rendered)
-                }
-            };
-            let r = &report;
+            let outcome = check_and_minimize(s, p, args.fault, args.opts, args.limits);
+            let r = &outcome.report;
             let coverage = if r.complete { "exhaustive" } else { "bounded" };
-            if r.counterexample.is_none() {
-                println!(
+            match &outcome.rendered {
+                None => println!(
                     "PASS {:<16} {:<9} {} states, {} terminal(s), depth {} ({})",
                     s.name, p.name(), r.states, r.terminals, r.max_depth_seen, coverage
-                );
-            } else {
-                failed = true;
-                println!(
-                    "FAIL {:<16} {:<9} after {} states ({})",
-                    s.name,
-                    p.name(),
-                    r.states,
-                    coverage
-                );
-                if let Some(rendered) = &rendered {
+                ),
+                Some(rendered) => {
+                    failed = true;
+                    println!(
+                        "FAIL {:<16} {:<9} after {} states ({})",
+                        s.name,
+                        p.name(),
+                        r.states,
+                        coverage
+                    );
                     print!("{rendered}");
                 }
             }

@@ -9,15 +9,10 @@
 //! the *same class* of failure. The result is the short suffix-free core
 //! of scheduling decisions that actually provoke the bug.
 
-use crate::explore::{replay_schedule_opts, BuildOpts, Failure};
+use crate::explore::{replay_schedule, BuildOpts, Failure};
 use crate::scenario::Scenario;
 use lrc_core::Fault;
 use lrc_sim::Protocol;
-
-/// Step budget for each replay during minimization. Bounded configurations
-/// drain in well under a thousand events; the slack covers fault-injected
-/// runs that spin on retries before deadlocking.
-const REPLAY_STEPS: usize = 50_000;
 
 /// The coarse failure class used to decide whether a shrunken schedule
 /// still reproduces "the same bug".
@@ -51,46 +46,22 @@ impl FailureClass {
     }
 }
 
-/// Shrink `schedule` while preserving a failure of class `class`.
+/// Shrink `schedule` while preserving a failure of class `class`, replaying
+/// every candidate on machines built with the `opts` the counterexample was
+/// found under (a [`FailureClass::HbRace`] failure, or one that needs a
+/// crash or NACK choice point, only exists with that option armed).
 /// Returns the minimized schedule together with the failure its replay
 /// produces (guaranteed to be of the same class).
 pub fn minimize(
     scenario: &Scenario,
     protocol: Protocol,
     fault: Fault,
-    schedule: &[usize],
-    class: FailureClass,
-) -> (Vec<usize>, Failure) {
-    minimize_opts(scenario, protocol, fault, schedule, class, BuildOpts::default())
-}
-
-/// [`minimize`] with control over race detection in the replay machines.
-/// [`FailureClass::HbRace`] counterexamples only reproduce with `races`
-/// set — the detector must be armed for the failure to exist at all.
-pub fn minimize_with(
-    scenario: &Scenario,
-    protocol: Protocol,
-    fault: Fault,
-    schedule: &[usize],
-    class: FailureClass,
-    races: bool,
-) -> (Vec<usize>, Failure) {
-    minimize_opts(scenario, protocol, fault, schedule, class, BuildOpts::raced(races))
-}
-
-/// [`minimize`] replaying under the full [`BuildOpts`] the counterexample
-/// was found with — a crash-timing choice point, like the race detector,
-/// must stay armed for the failure to exist at all.
-pub fn minimize_opts(
-    scenario: &Scenario,
-    protocol: Protocol,
-    fault: Fault,
-    schedule: &[usize],
-    class: FailureClass,
     opts: BuildOpts,
+    schedule: &[usize],
+    class: FailureClass,
 ) -> (Vec<usize>, Failure) {
     let still_fails = |s: &[usize]| -> Option<Failure> {
-        let (f, _) = replay_schedule_opts(scenario, protocol, fault, opts, s, REPLAY_STEPS);
+        let (f, _) = replay_schedule(scenario, protocol, fault, opts, s);
         f.filter(|f| FailureClass::of(f) == class)
     };
 

@@ -3,9 +3,9 @@
 //! timeline, followed by the violated property and everything needed to
 //! reproduce the run.
 
-use crate::explore::{BuildOpts, Counterexample, Failure};
+use crate::explore::{build_machine_opts, replay_on, BuildOpts, Counterexample, Failure};
 use crate::scenario::Scenario;
-use lrc_core::{CrashPlan, Fault, FaultPlan, Machine, TraceFilter};
+use lrc_core::{Fault, TraceFilter};
 use lrc_sim::Protocol;
 use std::fmt::Write as _;
 
@@ -15,9 +15,6 @@ const TRACE_CAP: usize = 10_000;
 
 /// Flight-recorder depth per node for the last-events tail of a report.
 const FLIGHT_CAP: usize = 16;
-
-/// Step budget for the rendering replay (mirrors the minimizer's).
-const REPLAY_STEPS: usize = 50_000;
 
 /// CLI spelling of a fault, for the reproduction line.
 pub fn fault_name(fault: Fault) -> &'static str {
@@ -29,73 +26,16 @@ pub fn fault_name(fault: Fault) -> &'static str {
     }
 }
 
-/// Replay `schedule` (0-padded past its end) on a trace-enabled machine,
-/// stopping at the first safety violation or at quiescence. Returns the
-/// machine so the caller can read its trace and state.
-fn replay_traced(
-    scenario: &Scenario,
-    protocol: Protocol,
-    fault: Fault,
-    schedule: &[usize],
-    opts: BuildOpts,
-) -> Machine {
-    let mut m = Machine::new(scenario.config(), protocol)
-        .with_fault(fault)
-        .with_value_tracking()
-        .with_trace_filter(TraceFilter::all().sends_only(), TRACE_CAP)
-        .with_flight_recorder(FLIGHT_CAP);
-    if opts.races {
-        m = m.with_race_detection();
-    }
-    if let Some((node, n)) = opts.crash_nth {
-        m = m.with_fault_plan(FaultPlan::off(0).with_crash(CrashPlan::kill_nth(node, n)));
-    }
-    m.prepare(Box::new(scenario.script()));
-    let mut step = 0usize;
-    while m.num_pending() > 0 && step < REPLAY_STEPS {
-        let want = schedule.get(step).copied().unwrap_or(0);
-        let n = want.min(m.num_pending() - 1);
-        m.step_choice(n);
-        step += 1;
-        if !m.check_violations().is_empty() {
-            break;
-        }
-    }
-    m
-}
-
-/// Render a counterexample as a full report: reproduction header, failure
-/// description, and the protocol message timeline leading to it.
+/// Render a counterexample found on machines built with `opts` as a full
+/// report: reproduction header (the reproduce line carries every armed
+/// option), failure description, and the protocol message timeline leading
+/// to it, taken from a replay of the schedule on a trace-enabled machine.
 pub fn render(
     scenario: &Scenario,
     protocol: Protocol,
     fault: Fault,
-    cex: &Counterexample,
-) -> String {
-    render_opts(scenario, protocol, fault, cex, BuildOpts::default())
-}
-
-/// [`render`] with control over race detection in the replay machine
-/// ([`Failure::HbRace`] counterexamples need the detector armed to show
-/// the race in the replayed state).
-pub fn render_with(
-    scenario: &Scenario,
-    protocol: Protocol,
-    fault: Fault,
-    cex: &Counterexample,
-    races: bool,
-) -> String {
-    render_opts(scenario, protocol, fault, cex, BuildOpts::raced(races))
-}
-
-/// [`render`] replaying under the full [`BuildOpts`] the counterexample
-/// was found with; the reproduce line carries every armed option.
-pub fn render_opts(
-    scenario: &Scenario,
-    protocol: Protocol,
-    fault: Fault,
-    cex: &Counterexample,
     opts: BuildOpts,
+    cex: &Counterexample,
 ) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "counterexample: {} under {}", scenario.name, protocol.name());
@@ -106,23 +46,30 @@ pub fn render_opts(
         let _ = writeln!(out, "  crash choice point: node {node} dies after {n} handled events");
     }
     let _ = writeln!(out, "  schedule ({} forced choices): {:?}", cex.schedule.len(), cex.schedule);
-    let crash_args = match opts.crash_nth {
-        None => String::new(),
-        Some((node, n)) => format!(" --crash-nth {n} --crash-node {node}"),
-    };
+    let mut flags = String::new();
+    if opts.races {
+        flags.push_str(" --races");
+    }
+    if let Some(n) = opts.nack_nth {
+        let _ = write!(flags, " --nack-nth {n}");
+    }
+    if let Some((node, n)) = opts.crash_nth {
+        let _ = write!(flags, " --crash-nth {n} --crash-node {node}");
+    }
     let _ = writeln!(
         out,
-        "  reproduce: lrc-check --scenario {} --protocol {} --fault {}{}{} --replay {}",
+        "  reproduce: lrc-check --scenario {} --protocol {} --fault {}{flags} --replay {}",
         scenario.name,
         protocol.name(),
         fault_name(fault),
-        if opts.races { " --races" } else { "" },
-        crash_args,
         schedule_arg(&cex.schedule),
     );
     let _ = writeln!(out);
 
-    let m = replay_traced(scenario, protocol, fault, &cex.schedule, opts);
+    let traced = build_machine_opts(scenario, protocol, fault, opts)
+        .with_trace_filter(TraceFilter::all().sends_only(), TRACE_CAP)
+        .with_flight_recorder(FLIGHT_CAP);
+    let (_, m) = replay_on(traced, scenario, &cex.schedule);
     let trace = m.trace_records();
     let _ = writeln!(out, "  message timeline ({} messages):", trace.len());
     for rec in &trace {

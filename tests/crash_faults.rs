@@ -167,11 +167,13 @@ fn dirty_owner_crash_surfaces_typed_data_loss_and_releases_sync() {
 /// Acceptance bar for `lrc-check --crash-nth`: with the injected recovery
 /// bug (a home that skips reclaiming a dead node's locks), some crash
 /// timing yields a liveness counterexample; the minimized schedule replays
-/// to the same failure; and with recovery intact the identical crash
+/// to the same failure; the same timing still fails with the BUSY-NACK
+/// choice point armed too; and with recovery intact the identical crash
 /// timing passes.
 #[test]
 fn checker_minimizes_a_crash_recovery_counterexample() {
-    use lrc_check::explore::{replay_schedule_opts, BuildOpts, Failure, Limits};
+    use lrc_check::check_and_minimize;
+    use lrc_check::explore::{replay_schedule, BuildOpts, Failure, Limits};
 
     let s = lrc_check::scenario::by_name("counter").expect("counter scenario");
     // Victim 1 (lock 0 homes at node 0, which stays alive, so the reclaim
@@ -181,14 +183,8 @@ fn checker_minimizes_a_crash_recovery_counterexample() {
 
     let mut found = None;
     for n in 1..=80u64 {
-        let opts = BuildOpts { races: false, crash_nth: Some((victim, n)) };
-        let outcome = lrc_check::check_and_minimize_opts(
-            &s,
-            Protocol::Lrc,
-            Fault::SkipLockReclaim,
-            limits,
-            opts,
-        );
+        let opts = BuildOpts { crash_nth: Some((victim, n)), ..BuildOpts::default() };
+        let outcome = check_and_minimize(&s, Protocol::Lrc, Fault::SkipLockReclaim, opts, limits);
         if !outcome.passed() {
             found = Some((n, opts, outcome));
             break;
@@ -198,14 +194,7 @@ fn checker_minimizes_a_crash_recovery_counterexample() {
         found.expect("no crash timing in 1..=80 provoked the skipped lock reclaim");
 
     let minimized = outcome.minimized.expect("counterexamples are minimized");
-    let (failure, _) = replay_schedule_opts(
-        &s,
-        Protocol::Lrc,
-        Fault::SkipLockReclaim,
-        opts,
-        &minimized,
-        50_000,
-    );
+    let (failure, _) = replay_schedule(&s, Protocol::Lrc, Fault::SkipLockReclaim, opts, &minimized);
     match failure {
         Some(Failure::Liveness(_)) => {}
         other => panic!("minimized schedule must replay to the liveness wedge, got {other:?}"),
@@ -215,14 +204,16 @@ fn checker_minimizes_a_crash_recovery_counterexample() {
     assert!(rendered.contains("crash choice point"), "{rendered}");
     assert!(rendered.contains(&format!("--crash-nth {n} --crash-node {victim}")), "{rendered}");
 
+    // The NACK choice point never fires under lazy, so it must not mask
+    // the wedge: the same crash timing still fails with it armed.
+    let nacked = BuildOpts { nack_nth: Some(0), ..opts };
+    let outcome = check_and_minimize(&s, Protocol::Lrc, Fault::SkipLockReclaim, nacked, limits);
+    assert!(!outcome.passed(), "the NACK choice point hid the crash-recovery wedge");
+    let rendered = outcome.rendered.expect("counterexamples are rendered");
+    assert!(rendered.contains("--nack-nth 0"), "{rendered}");
+
     // Positive control: recovery intact, same crash timing, no wedge.
-    let clean = lrc_check::check_and_minimize_opts(
-        &s,
-        Protocol::Lrc,
-        Fault::None,
-        limits,
-        BuildOpts { races: false, crash_nth: Some((victim, n)) },
-    );
+    let clean = check_and_minimize(&s, Protocol::Lrc, Fault::None, opts, limits);
     assert!(
         clean.passed(),
         "with reclamation intact the same crash timing must pass: {:?}",
