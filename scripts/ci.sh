@@ -159,7 +159,10 @@ echo "==> crash smoke: availability sweep + lrc-check --crash-nth counterexample
 # injected recovery bug (the home skips reclaiming a dead node's locks),
 # some crash timing in 1..80 must wedge the survivors, and the minimized
 # counterexample's printed reproduce line must replay to the same failure
-# (exit 1 = reproduced).
+# (exit 1 = reproduced). The same timing with the BUSY-NACK choice point
+# armed (it never fires under lazy) must still fail, with `--nack-nth 0`
+# in a reproduce line that fails again, and a crash victim outside the
+# scenario must be a usage error (exit 2), not a panic.
 crashout=$(mktemp /tmp/crash_check.XXXXXX.out)
 foundn=""
 for n in $(seq 1 80); do
@@ -177,6 +180,30 @@ read -r -a repro_cmd <<< "$repro"
 if "./target/release/${repro_cmd[0]}" "${repro_cmd[@]:1}" > /dev/null 2>&1; then
   echo "minimized crash counterexample failed to reproduce" >&2
   cat "$crashout" >&2
+  exit 1
+fi
+status=0
+./target/release/lrc-check --scenario counter --protocol lazy \
+  --fault skip-lock-reclaim --crash-nth "$foundn" --crash-node 1 \
+  --max-states 20000 --nack-nth 0 > "$crashout" 2>&1 || status=$?
+repro=$(grep -o 'lrc-check --scenario .*' "$crashout" | head -1 || true)
+if [ "$status" -ne 1 ] || [[ "$repro" != *" --nack-nth 0 "* ]]; then
+  echo "--nack-nth 0 did not fail with --nack-nth 0 in its reproduce line" >&2
+  cat "$crashout" >&2
+  exit 1
+fi
+read -r -a repro_cmd <<< "$repro"
+status=0
+"./target/release/${repro_cmd[0]}" "${repro_cmd[@]:1}" > /dev/null 2>&1 || status=$?
+if [ "$status" -ne 1 ]; then
+  echo "the --nack-nth 0 reproduce line exited $status, not 1: $repro" >&2
+  exit 1
+fi
+status=0
+./target/release/lrc-check --scenario counter --crash-nth 1 --crash-node 9 \
+  > /dev/null 2>&1 || status=$?
+if [ "$status" -ne 2 ]; then
+  echo "an out-of-range --crash-node exited $status, not the usage error 2" >&2
   exit 1
 fi
 # Positive control: recovery intact, the same crash timing must pass.
