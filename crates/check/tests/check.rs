@@ -41,9 +41,9 @@ type Counts = (usize, usize, usize);
 
 /// The exhaustive exploration counts of every scenario, per protocol in
 /// `Protocol::ALL` order (sc, eager, lazy, lazy-ext): [`check`] first, then
-/// [`check_opts`] with [`RACES`]. Exploration is deterministic, so debug and release
-/// builds agree. They pin the explored state spaces: a fingerprint that
-/// merged two logical states, or split one, moves them.
+/// [`check_opts`] with [`RACES`]. Exploration is deterministic, so debug
+/// and release builds agree. They pin the explored state spaces: a
+/// fingerprint that merged two logical states, or split one, moves them.
 const PINNED: &[(&str, [Counts; 4], [Counts; 4])] = &[
     (
         "handoff",
