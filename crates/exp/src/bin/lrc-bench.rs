@@ -283,7 +283,7 @@ fn parse_flag<T: std::str::FromStr>(value: &str, flag: &str, expects: &str) -> T
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    let args = lrc_exp::utf8_args().unwrap_or_else(|e| die(&e));
     let mut mode: Option<&str> = None;
     let mut scale = Scale::Small;
     let mut procs = 16usize;

@@ -901,7 +901,7 @@ fn die(msg: &str) -> ! {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    let args = lrc_exp::utf8_args().unwrap_or_else(|e| die(&e));
     let mut smoke = false;
     let mut capacity = false;
     let mut races = false;

@@ -25,3 +25,14 @@ pub use report::{
 pub use runner::{execute, RunSpec, Runner};
 pub use stats::{cohen_d, holm_adjust, paired_permutation_p, summarize, Effect, Summary};
 pub use store::{CheckFailure, IndexEntry, Store, StoreError};
+
+/// The command-line arguments after the program name. `std::env::args`
+/// panics on an argument that is not valid UTF-8; this returns an error
+/// naming the argument instead, for the binaries to report as a usage
+/// error (exit 2).
+pub fn utf8_args() -> Result<Vec<String>, String> {
+    std::env::args_os()
+        .skip(1)
+        .map(|a| a.into_string().map_err(|a| format!("argument {a:?} is not valid UTF-8")))
+        .collect()
+}

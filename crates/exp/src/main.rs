@@ -25,8 +25,8 @@
 
 use lrc_exp::{
     config_hash, experiments, paper_stats, prepare_out_dir, render_html, report_json,
-    resolve_timestamp, splice_index_md, IndexEntry, Params, ReportMeta, RunManifest, Runner,
-    Store,
+    resolve_timestamp, splice_index_md, utf8_args, IndexEntry, Params, ReportMeta, RunManifest,
+    Runner, Store,
 };
 use lrc_json::ToJson;
 use lrc_sim::MachineConfig;
@@ -35,7 +35,10 @@ use std::path::{Path, PathBuf};
 use std::process::exit;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    let args = utf8_args().unwrap_or_else(|e| {
+        eprintln!("{e}");
+        exit(usage())
+    });
     let code = match args.first().map(String::as_str) {
         Some("report") => report_cmd(&args[1..]),
         _ => run_cmd(&args),
