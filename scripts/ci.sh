@@ -15,7 +15,8 @@
 #             bounded configs (`cargo test -p lrc-check`)
 #   checker sweep — the model checker's ignored exhaustive sweep in
 #             release: 48 explorations, each held to its pinned state,
-#             terminal and depth counts
+#             terminal and depth counts and its terminal-outcome digest,
+#             with every revisit audited and the push order reversed
 #   perfbench — the benchmark crate (its own workspace) builds against the
 #             changed crates and its tests pass
 
@@ -57,10 +58,13 @@ done
 echo "==> tier 2: workspace tests"
 cargo test --workspace -q
 
-echo "==> checker sweep: every exhaustive exploration against its pinned counts"
+echo "==> checker sweep: pinned counts and outcomes, congruence audit, reversed push order"
 # Six scenarios x four protocols, with and without the race detector. A
-# fingerprint that merged or split logical states moves a count and fails
-# here; the debug tier above exhausts only the cheap runs.
+# fingerprint that merged or split logical states moves a count or an
+# outcome digest and fails here, and so does one that merges two states
+# whose successors differ (the audit) or whose counts depend on the order
+# children are pushed (the reversed walk). The debug tier above runs the
+# same guards on the explorations pinned below 5,000 states.
 cargo test -p lrc-check --release --offline -- --ignored
 
 echo "==> perfbench: build and test the benchmark crate"
