@@ -1,411 +1,430 @@
-//! `lrc-bench` — the simulator's benchmark trajectory harness.
-//!
-//! Runs the fixed (protocol × workload) grid and records how fast the
-//! simulation *kernel* executes it (simulated cycles per wall-clock second
-//! spent inside the event loop, excluding workload construction), so kernel
-//! changes can be compared against a committed baseline:
+//! `lrc-bench` — compare two commits on the repository's benchmark.
 //!
 //! ```text
-//! lrc-bench run     [--scale small] [--procs 16] [--reps 3] [--mesh256]
-//!                   [--out BENCH_sim.json]
-//! lrc-bench compare [--scale small] [--procs 16] [--reps 3] [--out FILE]
-//!                   [--baseline BENCH_sim.json] [--tolerance 0.10]
+//! lrc-bench ab --parent DIR --change DIR --workload W [--pairs 10] [--seconds S]
+//!              [--out BENCH_<W>.json]
 //! ```
 //!
-//! `run` measures the grid and writes `BENCH_sim.json` (schema below).
-//! `compare` measures the grid the same way, then gates against a committed
-//! baseline: it exits non-zero if geomean throughput regressed by more than
-//! `--tolerance` (default 10%). The gate only engages when the baseline
-//! exists *and* was recorded at the same scale/procs — a tiny-scale CI smoke
-//! run against the small-scale committed baseline reports but does not gate.
+//! Each `DIR` is a git checkout, one of the parent commit and one of the
+//! change. The change's `BENCHMARK.json` gives the `command`, the default
+//! `--seconds` (`run_seconds`), the `workloads` W must be one of, and the
+//! `end_to_end` metrics with their `better` direction and `bound`. The
+//! parent's must be byte-identical: different benchmarks do not compare.
 //!
-//! Schema (`"schema": "lrc-bench-v1"`): `commit`, `date`, `scale`, `procs`,
-//! `reps`, `combos` (per-combination `total_cycles`, `median_wall_ms`,
-//! `cycles_per_sec`), `geomean_cycles_per_sec`. Throughput per combination
-//! is simulated cycles divided by the *median* wall time of `--reps`
-//! repetitions (median, not mean, to shrug off scheduler noise).
+//! Pair `i` runs `command --workload W --seed base+i --seconds S` once on
+//! each side, one run at a time, the parent first on even `i` and the change
+//! first on odd `i`; `base` comes from the clock. A run starts in its own
+//! checkout, because perfbench records as its commit what `git rev-parse`
+//! reads in its working directory, and without `CARGO_TARGET_DIR`, so each
+//! side builds into its own `perfbench/target` and alternating never
+//! rebuilds the other. A run's last output line is its result and the line
+//! before it its provenance (`perfbench/README.md`).
 //!
-//! `host_cpus` records the machine's available parallelism. `--mesh256`
-//! appends a `mesh256` section: one mp3d/lazy run on a 256-node (16×16)
-//! mesh at `large` scale.
+//! The verdict of a metric, with ties counting for neither side:
+//!
+//! - `unresolved` with fewer than 10 pairs, whatever the samples say;
+//! - `gain` when the change wins at least 9/10 of the pairs and its median
+//!   beats the parent's by more than the parent's quartile distance;
+//! - `worse` when the change's median is worse than the parent's by more
+//!   than `bound` × the parent's median;
+//! - `unresolved` when the parent's quartile distance ÷ median exceeds
+//!   `bound`, unless every change run beats every parent run;
+//! - `within bound` otherwise.
+//!
+//! `ab` prints each side's median and quartiles, the per-pair ratio change
+//! ÷ parent with a 95% bootstrap interval of its mean, the sign-flip p-value
+//! and the verdict. The point it writes (schema `lrc-bench-v2`) adds the
+//! workload, seconds, seed base, `host_cpus`, each side's commit,
+//! `definition_hash` and failure share (failed ÷ attempted iterations), and
+//! every run's provenance and result lines verbatim.
+//!
+//! Exit status: 2 on a usage error or an unusable `BENCHMARK.json`; 1 when
+//! a run fails (exits non-zero, prints `"correct": false` or a malformed
+//! last line; `ab` stops there), a metric reads `worse`, or the change fails
+//! a larger share of its iterations; 0 otherwise.
 
 #![forbid(unsafe_code)]
 
-use lrc_exp::{execute, RunSpec};
-use lrc_json::{json, ToJson, Value};
-use lrc_sim::Protocol;
-use lrc_workloads::{Scale, WorkloadKind};
+use lrc_exp::{flag_number, paired_permutation_p, summarize, utf8_args, Table};
+use lrc_json::{json, json_struct, Ctx, FromJson, ToJson, Value};
+use std::path::Path;
+use std::process::{exit, Command, Stdio};
 
-struct ComboResult {
-    protocol: Protocol,
-    workload: WorkloadKind,
-    total_cycles: u64,
-    median_wall_ms: f64,
-    cycles_per_sec: f64,
+const USAGE: &str = "usage: lrc-bench ab --parent DIR --change DIR --workload W \
+                     [--pairs N] [--seconds S] [--out FILE]";
+const SIDES: [&str; 2] = ["parent", "change"];
+
+json_struct!(struct Benchmark {
+    command: Vec<String>,
+    run_seconds: u64,
+    workloads: Vec<Workload>,
+    end_to_end: Vec<Metric>,
+});
+json_struct!(struct Workload { name: String });
+json_struct!(struct Metric { name: String, better: Better, bound: f64 });
+
+#[derive(Clone, Copy, PartialEq)]
+enum Better {
+    Higher,
+    Lower,
+}
+json_struct!(enum Better as str { Higher = "higher", Lower = "lower" });
+
+json_struct!(
+    /// A run's result line, less what `ab` does not read.
+    struct Outcome { correct: bool, attempted: u64, failed: u64, metrics: Value }
+);
+
+/// One benchmark run: its two lines verbatim and what `ab` reads from them.
+struct Run {
+    pair: usize,
+    side: usize,
+    seed: u64,
+    provenance: String,
+    result: String,
+    commit: String,
+    definition_hash: String,
+    outcome: Outcome,
+    /// One value per end-to-end metric, in `BENCHMARK.json` order.
+    values: Vec<f64>,
 }
 
-fn measure_grid(scale: Scale, procs: usize, reps: usize, verbose: bool) -> Vec<ComboResult> {
-    let mut out = Vec::new();
-    for &protocol in &Protocol::ALL {
-        for workload in WorkloadKind::ALL {
-            let spec = RunSpec::new(protocol, workload, scale, procs);
-            let mut walls: Vec<f64> = Vec::with_capacity(reps);
-            let mut total_cycles = 0u64;
-            for rep in 0..reps {
-                // The machine times its own event loop: this excludes
-                // workload construction, which is not the kernel under test.
-                let r = execute(&spec);
-                walls.push(r.sim_wall_secs);
-                if rep == 0 {
-                    total_cycles = r.stats.total_cycles;
-                } else {
-                    assert_eq!(
-                        total_cycles, r.stats.total_cycles,
-                        "nondeterministic run: {workload}/{protocol}"
-                    );
-                }
-            }
-            walls.sort_by(|a, b| a.partial_cmp(b).expect("finite wall times"));
-            let median = walls[walls.len() / 2];
-            let cps = total_cycles as f64 / median.max(1e-9);
-            if verbose {
-                eprintln!(
-                    "  {workload:>10} / {protocol:<7} {total_cycles:>12} cycles  \
-                     {:>8.1} ms  {:>6.1} Mcyc/s",
-                    median * 1e3,
-                    cps / 1e6
-                );
-            }
-            out.push(ComboResult {
-                protocol,
-                workload,
-                total_cycles,
-                median_wall_ms: median * 1e3,
-                cycles_per_sec: cps,
-            });
-        }
-    }
-    out
+fn die(code: i32, msg: &str) -> ! {
+    eprintln!("lrc-bench: {msg}");
+    exit(code)
 }
 
-/// The 256-node (16×16 mesh) scaling run: one mp3d/lazy simulation at
-/// `large` scale. One repetition — this records that the kernel takes a
-/// 256-node machine end to end and how fast, it is not a gated benchmark.
-fn measure_mesh256(verbose: bool) -> Value {
-    let spec = RunSpec::new(Protocol::Lrc, WorkloadKind::Mp3d, Scale::Large, 256);
-    if verbose {
-        eprintln!("-- mesh256: mp3d/{} @ scale=large procs=256", spec.protocol);
+/// The value, or a usage error (exit 2) reporting the error.
+fn or_usage<T>(r: Result<T, String>) -> T {
+    r.unwrap_or_else(|e| die(2, &e))
+}
+
+fn read_benchmark(dir: &str) -> Result<String, String> {
+    let path = Path::new(dir).join("BENCHMARK.json");
+    std::fs::read_to_string(&path).map_err(|e| format!("{}: {e}", path.display()))
+}
+
+fn decode<T: FromJson>(text: &str) -> Result<T, String> {
+    let v = lrc_json::parse(text).map_err(|e| e.to_string())?;
+    T::decode(&v, Ctx::default()).map_err(|e| e.to_string())
+}
+
+/// Run the benchmark once in checkout `dir` and read its two last lines.
+fn measure(bench: &Benchmark, dir: &str, w: &str, seed: u64, secs: u64) -> Result<Run, String> {
+    let out = Command::new(&bench.command[0])
+        .args(&bench.command[1..])
+        .args(["--workload", w, "--seed", &seed.to_string(), "--seconds", &secs.to_string()])
+        .current_dir(dir)
+        .env_remove("CARGO_TARGET_DIR")
+        .stderr(Stdio::inherit())
+        .output()
+        .map_err(|e| format!("cannot start {:?}: {e}", bench.command[0]))?;
+    if !out.status.success() {
+        return Err(format!("exited with {}", out.status));
     }
-    let r = execute(&spec);
-    let cps = r.stats.total_cycles as f64 / r.sim_wall_secs.max(1e-9);
-    if verbose {
-        eprintln!(
-            "   {} cycles, {} events in {:.1} ms ({:.1} Mcyc/s)",
-            r.stats.total_cycles,
-            r.events,
-            r.sim_wall_secs * 1e3,
-            cps / 1e6
-        );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let mut lines = stdout.lines().rev();
+    let (result, provenance) = (lines.next().unwrap_or(""), lines.next().unwrap_or(""));
+    let outcome: Outcome = decode(result).map_err(|e| format!("malformed last line: {e}"))?;
+    if !outcome.correct {
+        return Err("its result reads \"correct\": false".into());
     }
-    json!({
-        "workload": spec.workload.name(),
-        "protocol": spec.protocol.name(),
-        "scale": "large",
-        "procs": 256,
-        "total_cycles": r.stats.total_cycles,
-        "events": r.events,
-        "wall_ms": r.sim_wall_secs * 1e3,
-        "cycles_per_sec": cps,
+    let values = bench.end_to_end.iter().map(|m| {
+        let v = outcome.metrics[m.name.as_str()]["value"].as_f64();
+        v.filter(|v| v.is_finite() && *v > 0.0)
+            .ok_or_else(|| format!("malformed last line: no positive value of {}", m.name))
+    });
+    let values = values.collect::<Result<_, _>>()?;
+    let info =
+        lrc_json::parse(provenance).map_err(|e| format!("malformed provenance line: {e}"))?;
+    let field = |key: &str| match info["perfbench"]["provenance"][key].as_str() {
+        Some(v) => Ok(v.to_string()),
+        None => Err(format!("provenance line has no perfbench.provenance.{key}")),
+    };
+    Ok(Run {
+        pair: 0,
+        side: 0,
+        seed,
+        provenance: provenance.to_string(),
+        result: result.to_string(),
+        commit: field("git_commit")?,
+        definition_hash: field("definition_hash")?,
+        outcome,
+        values,
     })
 }
 
-fn geomean(combos: &[ComboResult]) -> f64 {
-    let log_sum: f64 = combos.iter().map(|c| c.cycles_per_sec.max(1.0).ln()).sum();
-    (log_sum / combos.len().max(1) as f64).exp()
-}
-
-/// Best-effort `git rev-parse --short HEAD`; "unknown" outside a checkout.
-fn git_commit() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.trim().to_string())
-        .unwrap_or_else(|| "unknown".to_string())
-}
-
-/// Civil date (UTC) from the system clock, via days-from-epoch arithmetic
-/// (Howard Hinnant's algorithm) — the workspace has no date dependency.
-fn today_utc() -> String {
-    let secs = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0);
-    let z = (secs / 86_400) as i64 + 719_468;
-    let era = z.div_euclid(146_097);
-    let doe = z.rem_euclid(146_097);
-    let yoe = (doe - doe / 1460 + doe / 36_524 - doe / 146_096) / 365;
-    let y = yoe + era * 400;
-    let doy = doe - (365 * yoe + yoe / 4 - yoe / 100);
-    let mp = (5 * doy + 2) / 153;
-    let d = doy - (153 * mp + 2) / 5 + 1;
-    let m = if mp < 10 { mp + 3 } else { mp - 9 };
-    let y = if m <= 2 { y + 1 } else { y };
-    format!("{y:04}-{m:02}-{d:02}")
-}
-
-fn report_json(
-    scale: Scale,
-    procs: usize,
-    reps: usize,
-    combos: &[ComboResult],
-    mesh256: Option<Value>,
-) -> Value {
-    let rows: Vec<Value> = combos
-        .iter()
-        .map(|c| {
-            json!({
-                "protocol": c.protocol.name(),
-                "workload": c.workload.name(),
-                "total_cycles": c.total_cycles,
-                "median_wall_ms": c.median_wall_ms,
-                "cycles_per_sec": c.cycles_per_sec,
-            })
-        })
-        .collect();
-    let params = json!({ "scale": scale.name(), "procs": procs, "reps": reps });
-    let machine = lrc_sim::MachineConfig::paper_default(procs).to_json();
-    let mut report = json!({
-        "schema": "lrc-bench-v1",
-        "commit": git_commit(),
-        "date": today_utc(),
-        "scale": scale.name(),
-        "procs": procs,
-        "reps": reps,
-        "host_cpus": host_cpus(),
-        // Provenance of this measurement: enough to decide whether a
-        // committed baseline is still comparable to HEAD (same machine
-        // configuration, which host, when the harness passed).
-        "provenance": json!({
-            "git_commit": git_commit(),
-            "config_hash": lrc_exp::config_hash("bench", &params, &machine),
-            "host_cpus": host_cpus(),
-            "harness_passed_unix": lrc_exp::resolve_timestamp(None),
-        }),
-        "combos": rows,
-        "geomean_cycles_per_sec": geomean(combos),
-    });
-    if let Some(m) = mesh256 {
-        report.set("mesh256", m);
-    }
-    report
-}
-
-/// The host's available parallelism, recorded as measurement provenance.
-fn host_cpus() -> usize {
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-}
-
-/// One-line provenance summary of a bench report (current or baseline).
-/// Pre-provenance baselines render their fields as `unknown`.
-fn provenance_line(report: &Value) -> String {
-    let p = &report["provenance"];
-    let s = |v: &Value| v.as_str().unwrap_or("unknown").to_string();
-    let short = |h: String| h.chars().take(12).collect::<String>();
-    format!(
-        "provenance: commit {} · config {} · host_cpus {} · harness passed {}",
-        s(&p["git_commit"]),
-        short(s(&p["config_hash"])),
-        p["host_cpus"].as_u64().map_or_else(|| "unknown".to_string(), |n| n.to_string()),
-        match p["harness_passed_unix"].as_u64() {
-            Some(ts) if ts > 0 => lrc_exp::report::iso_utc(ts),
-            _ => "unknown".to_string(),
-        }
-    )
-}
-
-/// Outcome of gating a fresh measurement against a baseline file.
-enum Gate {
-    /// Baseline missing/unreadable, or recorded under different settings.
-    Skipped(String),
-    /// Gate ran: (baseline geomean, current geomean, regression fraction).
-    Ran(f64, f64, f64),
-}
-
-fn gate_against_baseline(path: &str, scale: Scale, procs: usize, current: f64) -> Gate {
-    let contents = match std::fs::read_to_string(path) {
-        Ok(c) => c,
-        Err(e) => return Gate::Skipped(format!("no baseline at {path} ({e})")),
+/// The first quartile, median and third quartile (linear interpolation).
+fn quartiles(xs: &[f64]) -> [f64; 3] {
+    let mut s = xs.to_vec();
+    s.sort_by(f64::total_cmp);
+    let at = |q: f64| {
+        let pos = q * (s.len() - 1) as f64;
+        let (lo, hi) = (pos.floor() as usize, pos.ceil() as usize);
+        s[lo] + (s[hi] - s[lo]) * (pos - lo as f64)
     };
-    let base = match lrc_json::parse(&contents) {
-        Ok(v) => v,
-        Err(e) => return Gate::Skipped(format!("baseline {path} is not valid JSON ({e})")),
+    [at(0.25), at(0.5), at(0.75)]
+}
+
+/// One metric's comparison over the pairs.
+#[derive(Debug)]
+struct Compared {
+    wins: usize,
+    losses: usize,
+    ties: usize,
+    /// Quartiles, median in the middle.
+    parent: [f64; 3],
+    change: [f64; 3],
+    verdict: &'static str,
+}
+
+/// The A/B rule (module docs) for paired samples: `parent[i]` and
+/// `change[i]` ran at one seed.
+fn compare(better: Better, bound: f64, parent: &[f64], change: &[f64]) -> Compared {
+    // After this sign, lower is better.
+    let sign = if better == Better::Higher { -1.0 } else { 1.0 };
+    let beats = |a: f64, b: f64| sign * a < sign * b;
+    let n = parent.len();
+    let wins = parent.iter().zip(change).filter(|&(&p, &c)| beats(c, p)).count();
+    let losses = parent.iter().zip(change).filter(|&(&p, &c)| beats(p, c)).count();
+    let (p, c) = (quartiles(parent), quartiles(change));
+    let spread = p[2] - p[0];
+    let gap = sign * (p[1] - c[1]);
+    let all_beat = change.iter().all(|&c| parent.iter().all(|&p| beats(c, p)));
+    let verdict = if n < 10 {
+        "unresolved"
+    } else if wins * 10 >= n * 9 && gap > spread {
+        "gain"
+    } else if -gap > bound * p[1].abs() {
+        "worse"
+    } else if spread > bound * p[1].abs() && !all_beat {
+        "unresolved"
+    } else {
+        "within bound"
     };
-    if base["schema"].as_str() != Some("lrc-bench-v1") {
-        return Gate::Skipped(format!("baseline {path} has unknown schema"));
-    }
-    let (bscale, bprocs) = (base["scale"].as_str().unwrap_or(""), base["procs"].as_u64());
-    if bscale != scale.name() || bprocs != Some(procs as u64) {
-        return Gate::Skipped(format!(
-            "baseline was recorded at scale={bscale} procs={} — current run is scale={} procs={procs}, gate not applicable",
-            bprocs.map_or_else(|| "?".into(), |p| p.to_string()),
-            scale.name()
-        ));
-    }
-    let Some(bgeo) = base["geomean_cycles_per_sec"].as_f64() else {
-        return Gate::Skipped(format!("baseline {path} lacks geomean_cycles_per_sec"));
-    };
-    Gate::Ran(bgeo, current, 1.0 - current / bgeo)
+    Compared { wins, losses, ties: n - wins - losses, parent: p, change: c, verdict }
 }
 
-/// Print a CLI usage error and exit 2 (the usage-error convention).
-fn die(msg: &str) -> ! {
-    eprintln!("lrc-bench: {msg}");
-    std::process::exit(2)
-}
-
-/// The value following a flag, or a usage error naming the flag.
-fn flag_value<'a>(args: &'a [String], i: &mut usize, flag: &str) -> &'a str {
-    *i += 1;
-    match args.get(*i) {
-        Some(v) => v,
-        None => die(&format!("{flag} requires a value")),
-    }
-}
-
-/// Parse a flag's value, or a usage error naming the flag and the input.
-fn parse_flag<T: std::str::FromStr>(value: &str, flag: &str, expects: &str) -> T {
-    value
-        .parse()
-        .unwrap_or_else(|_| die(&format!("{flag}: invalid value '{value}' (expected {expects})")))
+/// `x` to four significant digits.
+fn sig(x: f64) -> String {
+    let decimals = (3 - x.abs().log10().floor() as i32).max(0) as usize;
+    format!("{x:.decimals$}")
 }
 
 fn main() {
-    let args = lrc_exp::utf8_args().unwrap_or_else(|e| die(&e));
-    let mut mode: Option<&str> = None;
-    let mut scale = Scale::Small;
-    let mut procs = 16usize;
-    let mut reps = 3usize;
-    let mut out: Option<String> = None;
-    let mut baseline = "BENCH_sim.json".to_string();
-    let mut tolerance = 0.10f64;
-    let mut verbose = true;
-    let mut mesh256 = false;
-
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "run" => mode = Some("run"),
-            "compare" => mode = Some("compare"),
-            "--scale" => {
-                let v = flag_value(&args, &mut i, "--scale");
-                scale = Scale::parse(v).unwrap_or_else(|| {
-                    die(&format!(
-                        "--scale: unknown scale '{v}' (expected paper|large|medium|small|tiny)"
-                    ))
-                });
-            }
-            "--procs" => {
-                let v = flag_value(&args, &mut i, "--procs");
-                procs = parse_flag(v, "--procs", "a processor count");
-                if procs == 0 {
-                    die("--procs must be positive");
-                }
-            }
-            "--reps" => {
-                let v = flag_value(&args, &mut i, "--reps");
-                reps = parse_flag(v, "--reps", "a repetition count");
-                if reps == 0 {
-                    die("--reps must be positive");
-                }
-            }
-            "--out" => out = Some(flag_value(&args, &mut i, "--out").to_string()),
-            "--baseline" => baseline = flag_value(&args, &mut i, "--baseline").to_string(),
-            "--tolerance" => {
-                let v = flag_value(&args, &mut i, "--tolerance");
-                tolerance = parse_flag(v, "--tolerance", "a fraction like 0.10");
-                if !(0.0..1.0).contains(&tolerance) {
-                    die("--tolerance must be in [0, 1)");
-                }
-            }
-            "--mesh256" => mesh256 = true,
-            "--quiet" => verbose = false,
-            other => die(&format!("unknown argument '{other}'")),
+    let args = utf8_args().unwrap_or_else(|e| die(2, &e));
+    if args.first().map(String::as_str) != Some("ab") {
+        die(2, USAGE);
+    }
+    let (mut dirs, mut workload, mut pairs, mut seconds, mut out) =
+        ([None, None], None, 10, None, None);
+    for kv in args[1..].chunks(2) {
+        let [flag, value] = kv else { die(2, &format!("{} requires a value", kv[0])) };
+        match flag.as_str() {
+            "--parent" => dirs[0] = Some(value.clone()),
+            "--change" => dirs[1] = Some(value.clone()),
+            "--workload" => workload = Some(value.clone()),
+            "--pairs" => pairs = or_usage(flag_number(flag, value, 1..)),
+            "--seconds" => seconds = Some(or_usage(flag_number(flag, value, 1..))),
+            "--out" => out = Some(value.clone()),
+            _ => die(2, &format!("unknown argument '{flag}'\n{USAGE}")),
         }
-        i += 1;
+    }
+    let required = |v: Option<String>, flag: &str| {
+        v.unwrap_or_else(|| die(2, &format!("{flag} is required\n{USAGE}")))
+    };
+    let dirs = [required(dirs[0].take(), "--parent"), required(dirs[1].take(), "--change")];
+    let workload = required(workload, "--workload");
+
+    let text = or_usage(read_benchmark(&dirs[1]));
+    if or_usage(read_benchmark(&dirs[0])) != text {
+        die(2, "BENCHMARK.json differs between --parent and --change");
+    }
+    let bench: Benchmark = or_usage(decode(&text).map_err(|e| format!("BENCHMARK.json: {e}")));
+    if bench.command.is_empty() {
+        die(2, "BENCHMARK.json: command is empty");
+    }
+    if !bench.workloads.iter().any(|w| w.name == workload) {
+        let names: Vec<&str> = bench.workloads.iter().map(|w| w.name.as_str()).collect();
+        die(2, &format!("--workload: unknown workload '{workload}' (have {})", names.join(", ")));
+    }
+    let seconds = seconds.unwrap_or(bench.run_seconds);
+    let out = out.unwrap_or_else(|| format!("BENCH_{workload}.json"));
+    let base = std::time::SystemTime::now()
+        .duration_since(std::time::UNIX_EPOCH)
+        .map_or(0, |d| d.as_secs());
+
+    let mut runs: Vec<Run> = Vec::with_capacity(2 * pairs);
+    for pair in 0..pairs {
+        let seed = base + pair as u64;
+        for side in if pair % 2 == 0 { [0, 1] } else { [1, 0] } {
+            let name = SIDES[side];
+            let run = measure(&bench, &dirs[side], &workload, seed, seconds).unwrap_or_else(|e| {
+                die(1, &format!("{name} run of pair {pair} (seed {seed}) failed: {e}"))
+            });
+            let shown = bench.end_to_end.iter().zip(&run.values);
+            let shown: Vec<String> =
+                shown.map(|(m, v)| format!("{} {}", m.name, sig(*v))).collect();
+            eprintln!("pair {}/{pairs} {name:<6} seed {seed}: {}", pair + 1, shown.join(", "));
+            runs.push(Run { pair, side, ..run });
+        }
     }
 
-    let Some(mode) = mode else {
-        eprintln!(
-            "usage: lrc-bench <run|compare> [--scale paper|large|medium|small|tiny] [--procs N] \
-             [--reps N] [--mesh256] [--out FILE] [--baseline FILE] \
-             [--tolerance FRACTION] [--quiet]"
-        );
-        std::process::exit(2);
+    let of_side = |side: usize| runs.iter().filter(move |r| r.side == side);
+    let failure_share = |side: usize| {
+        let (attempted, failed) =
+            of_side(side).fold((0, 0), |(a, f), r| (a + r.outcome.attempted, f + r.outcome.failed));
+        failed as f64 / attempted.max(1) as f64
+    };
+    let side_json = |side: usize| {
+        let first = of_side(side).next().expect("every side ran at least one pair");
+        let (commit, hash, share) = (&first.commit, &first.definition_hash, failure_share(side));
+        json!({ "commit": commit, "definition_hash": hash, "failure_share": share })
     };
 
-    if verbose {
-        eprintln!(
-            "lrc-bench {mode}: {}×{} grid @ scale={} procs={procs} reps={reps}",
-            Protocol::ALL.len(),
-            WorkloadKind::ALL.len(),
-            scale.name()
-        );
-    }
-    let combos = measure_grid(scale, procs, reps, verbose);
-    let mesh = mesh256.then(|| measure_mesh256(verbose));
-    let geo = geomean(&combos);
-    let report = report_json(scale, procs, reps, &combos, mesh);
-    if verbose {
-        eprintln!("  geomean {:.1} Mcyc/s over {} combinations", geo / 1e6, combos.len());
+    let mut table = Table::new(vec![
+        "metric",
+        "parent median [q1, q3]",
+        "change median [q1, q3]",
+        "wins/losses/ties",
+        "change ÷ parent [95% CI]",
+        "p",
+        "verdict",
+    ]);
+    let mut summaries = Vec::new();
+    let mut worse = false;
+    for (k, m) in bench.end_to_end.iter().enumerate() {
+        let samples = |side| of_side(side).map(|r| r.values[k]).collect::<Vec<f64>>();
+        let (parent, change) = (samples(0), samples(1));
+        let ratios: Vec<f64> = parent.iter().zip(&change).map(|(p, c)| c / p).collect();
+        let ratio = summarize(&ratios, base);
+        let p = paired_permutation_p(&change, &parent, base);
+        let cmp = compare(m.better, m.bound, &parent, &change);
+        worse |= cmp.verdict == "worse";
+        let q = |x: [f64; 3]| format!("{} [{}, {}]", sig(x[1]), sig(x[0]), sig(x[2]));
+        table.row(vec![
+            m.name.clone(),
+            q(cmp.parent),
+            q(cmp.change),
+            format!("{}/{}/{}", cmp.wins, cmp.losses, cmp.ties),
+            format!("{:.3} [{:.3}, {:.3}]", ratio.mean, ratio.ci_lo, ratio.ci_hi),
+            format!("{p:.3}"),
+            cmp.verdict.to_string(),
+        ]);
+        let quart = |x: [f64; 3]| json!({ "q1": x[0], "median": x[1], "q3": x[2] });
+        summaries.push(json!({
+            "name": &m.name, "better": m.better.to_json(), "bound": m.bound,
+            "parent": quart(cmp.parent), "change": quart(cmp.change),
+            "wins": cmp.wins, "losses": cmp.losses, "ties": cmp.ties,
+            "ratio": { "mean": ratio.mean, "ci_lo": ratio.ci_lo, "ci_hi": ratio.ci_hi },
+            "p": p, "verdict": cmp.verdict,
+        }));
     }
 
-    match mode {
-        "run" => {
-            let path = out.unwrap_or_else(|| "BENCH_sim.json".to_string());
-            std::fs::write(&path, report.pretty())
-                .unwrap_or_else(|e| die(&format!("cannot write {path}: {e}")));
-            eprintln!("wrote {path}");
-        }
-        "compare" => {
-            if let Some(path) = &out {
-                std::fs::write(path, report.pretty())
-                    .unwrap_or_else(|e| die(&format!("cannot write {path}: {e}")));
-                eprintln!("wrote {path}");
-            } else {
-                println!("{}", report.pretty());
-            }
-            eprintln!("current  {}", provenance_line(&report));
-            if let Ok(contents) = std::fs::read_to_string(&baseline) {
-                if let Ok(base) = lrc_json::parse(&contents) {
-                    eprintln!("baseline {}", provenance_line(&base));
-                }
-            }
-            match gate_against_baseline(&baseline, scale, procs, geo) {
-                Gate::Skipped(why) => {
-                    eprintln!("gate skipped: {why}");
-                }
-                Gate::Ran(base, cur, regression) => {
-                    eprintln!(
-                        "baseline geomean {:.1} Mcyc/s, current {:.1} Mcyc/s ({:+.1}%)",
-                        base / 1e6,
-                        cur / 1e6,
-                        -regression * 100.0
-                    );
-                    if regression > tolerance {
-                        eprintln!(
-                            "FAIL: throughput regressed {:.1}% (> {:.0}% tolerance) vs {baseline}",
-                            regression * 100.0,
-                            tolerance * 100.0
-                        );
-                        std::process::exit(1);
-                    }
-                    eprintln!("gate passed (tolerance {:.0}%)", tolerance * 100.0);
-                }
-            }
-        }
-        _ => unreachable!(),
+    let record = |r: &Run| {
+        json!({ "pair": r.pair, "side": SIDES[r.side], "seed": r.seed,
+                "provenance": &r.provenance, "result": &r.result })
+    };
+    let point = json!({
+        "schema": "lrc-bench-v2",
+        "workload": &workload, "seconds": seconds, "pairs": pairs, "seed_base": base,
+        "host_cpus": std::thread::available_parallelism().map_or(1, |n| n.get()),
+        "parent": side_json(0), "change": side_json(1),
+        "runs": runs.iter().map(record).collect::<Vec<Value>>(),
+        "metrics": summaries,
+    });
+    if let Err(e) = std::fs::write(&out, point.pretty()) {
+        die(1, &format!("cannot write {out}: {e}"));
+    }
+    eprintln!("wrote {out}");
+    print!("{}", table.render());
+    let (parent_share, change_share) = (failure_share(0), failure_share(1));
+    println!("failure share: parent {parent_share}, change {change_share}");
+    if worse || change_share > parent_share {
+        exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn lower(parent: &[f64], change: &[f64]) -> Compared {
+        compare(Better::Lower, 0.25, parent, change)
+    }
+
+    /// Ten parent runs whose quartile distance is 0.075 around a median of 2.
+    fn parent10() -> Vec<f64> {
+        vec![1.9, 1.95, 1.95, 2.0, 2.0, 2.0, 2.0, 2.05, 2.05, 2.1]
+    }
+
+    #[test]
+    fn quartiles_interpolate() {
+        assert_eq!(quartiles(&[4.0, 1.0, 3.0, 2.0, 5.0]), [2.0, 3.0, 4.0]);
+        assert_eq!(quartiles(&[1.0, 2.0]), [1.25, 1.5, 1.75]);
+        assert_eq!(quartiles(&[7.0]), [7.0, 7.0, 7.0]);
+    }
+
+    #[test]
+    fn ties_count_for_neither_side() {
+        let same = lower(&[5.0; 10], &[5.0; 10]);
+        assert_eq!((same.wins, same.losses, same.ties), (0, 0, 10));
+        assert_eq!(same.verdict, "within bound");
+        // Nine wins and a tie is 9/10 of the pairs; eight and two ties is not.
+        let mut change = vec![1.0; 10];
+        change[0] = parent10()[0];
+        let c = lower(&parent10(), &change);
+        assert_eq!((c.wins, c.losses, c.ties, c.verdict), (9, 0, 1, "gain"));
+        change[1] = parent10()[1];
+        let c = lower(&parent10(), &change);
+        assert_eq!((c.wins, c.losses, c.ties, c.verdict), (8, 0, 2, "within bound"));
+    }
+
+    #[test]
+    fn a_gain_needs_nine_wins_in_ten_and_a_gap_past_the_parents_spread() {
+        let parent = parent10();
+        let mut change: Vec<f64> = parent.iter().map(|p| p - 0.5).collect();
+        change[0] = 2.5;
+        assert_eq!(lower(&parent, &change).verdict, "gain");
+        change[1] = 2.5;
+        let c = lower(&parent, &change);
+        assert_eq!((c.wins, c.losses, c.verdict), (8, 2, "within bound"));
+        // Ten wins by less than the parent's quartile distance (0.075).
+        let close: Vec<f64> = parent.iter().map(|p| p - 0.05).collect();
+        let c = lower(&parent, &close);
+        assert_eq!((c.wins, c.verdict), (10, "within bound"));
+    }
+
+    #[test]
+    fn direction_follows_better() {
+        let (parent, doubled): (Vec<f64>, Vec<f64>) =
+            (parent10(), parent10().iter().map(|p| 2.0 * p).collect());
+        assert_eq!(compare(Better::Higher, 0.25, &parent, &doubled).verdict, "gain");
+        assert_eq!(compare(Better::Lower, 0.25, &parent, &doubled).verdict, "worse");
+        assert_eq!(compare(Better::Higher, 0.25, &doubled, &parent).verdict, "worse");
+        assert_eq!(compare(Better::Lower, 0.25, &doubled, &parent).verdict, "gain");
+    }
+
+    #[test]
+    fn worse_is_past_the_bound() {
+        let parent = parent10();
+        let at = |f: f64| lower(&parent, &parent.iter().map(|p| p * f).collect::<Vec<_>>());
+        assert_eq!(at(1.2).verdict, "within bound");
+        assert_eq!(at(1.3).verdict, "worse");
+        assert_eq!(compare(Better::Lower, 0.15, &[100.0; 10], &[150.0; 10]).verdict, "worse");
+    }
+
+    #[test]
+    fn unresolved_below_ten_pairs_and_past_the_parents_spread() {
+        // Nine pairs: the change is twice as fast, and still unresolved.
+        assert_eq!(lower(&[2.0; 9], &[1.0; 9]).verdict, "unresolved");
+        assert_eq!(lower(&[1.0; 9], &[2.0; 9]).verdict, "unresolved");
+        // The parent's quartile distance is 0.95 of its median, past 0.25.
+        let parent = [10.0, 10.0, 10.0, 10.0, 10.0, 11.0, 20.0, 20.0, 20.0, 20.0];
+        let c = lower(&parent, &[10.5; 10]);
+        assert_eq!(c.verdict, "unresolved");
+        // Every change run beats every parent run, by less than the spread.
+        let c = lower(&parent, &[9.5; 10]);
+        assert_eq!((c.wins, c.verdict), (10, "within bound"));
     }
 }

@@ -71,7 +71,9 @@
 
 #![forbid(unsafe_code)]
 
-use lrc_core::{CrashPlan, FaultPlan, FaultRates, Machine, MachineSnapshot, MsgClass, StallDiagnosis};
+use lrc_core::{
+    CrashPlan, FaultPlan, FaultRates, Machine, MachineSnapshot, MsgClass, NodeSet, StallDiagnosis,
+};
 use lrc_json::{json_struct, Ctx, Dec, DecodeError, FromJson, ToJson, Value, Wire};
 use lrc_sim::refint;
 use lrc_sim::{MachineConfig, MachineStats, Op, Protocol, ResourceLimits, Rng, Script};
@@ -900,6 +902,15 @@ fn die(msg: &str) -> ! {
     std::process::exit(2)
 }
 
+/// A numeric flag value in `range`, or a usage error naming the flag.
+fn number<T, R>(value: &str, flag: &str, range: R) -> T
+where
+    T: std::str::FromStr + PartialOrd,
+    R: std::ops::RangeBounds<T> + std::fmt::Debug,
+{
+    lrc_exp::flag_number(flag, value, range).unwrap_or_else(|e| die(&e))
+}
+
 fn main() {
     let args = lrc_exp::utf8_args().unwrap_or_else(|e| die(&e));
     let mut smoke = false;
@@ -929,33 +940,16 @@ fn main() {
             "--availability" => availability = true,
             "--quiet" => quiet = true,
             "--procs" => {
-                let v = value(&mut i, "--procs");
-                procs = Some(v.parse().unwrap_or_else(|_| die(&format!("--procs: invalid count '{v}'"))));
+                procs = Some(number(&value(&mut i, "--procs"), "--procs", 1..=NodeSet::CAPACITY))
             }
-            "--seeds" => {
-                let v = value(&mut i, "--seeds");
-                seeds = Some(v.parse().unwrap_or_else(|_| die(&format!("--seeds: invalid count '{v}'"))));
-            }
-            "--phases" => {
-                let v = value(&mut i, "--phases");
-                phases = Some(v.parse().unwrap_or_else(|_| die(&format!("--phases: invalid count '{v}'"))));
-            }
+            "--seeds" => seeds = Some(number(&value(&mut i, "--seeds"), "--seeds", 1..)),
+            "--phases" => phases = Some(number(&value(&mut i, "--phases"), "--phases", 1..)),
+            // A link-fault rate or a crash fraction: a probability either way.
             "--rates" => {
                 let v = value(&mut i, "--rates");
-                rates = Some(
-                    v.split(',')
-                        .map(|r| {
-                            r.parse()
-                                .unwrap_or_else(|_| die(&format!("--rates: invalid rate '{r}'")))
-                        })
-                        .collect(),
-                );
+                rates = Some(v.split(',').map(|r| number(r, "--rates", 0.0..=1.0)).collect());
             }
-            "--watchdog" => {
-                let v = value(&mut i, "--watchdog");
-                watchdog =
-                    v.parse().unwrap_or_else(|_| die(&format!("--watchdog: invalid cycles '{v}'")));
-            }
+            "--watchdog" => watchdog = number(&value(&mut i, "--watchdog"), "--watchdog", 0..),
             "--checkpoint-dir" => {
                 let v = value(&mut i, "--checkpoint-dir");
                 if checkpoint_dir.as_ref().is_some_and(|d| *d != v) {

@@ -535,6 +535,27 @@ pub fn scaling(r: &Runner, p: Params) -> Report {
     }
 }
 
+/// Extension: mp3d under lazy RC on a 256-node (16×16) mesh, four times
+/// the paper's machine, whatever `--procs` says. Wall time stays out of
+/// the report so that its stored blob is byte-reproducible; the runner's
+/// verbose line prints it.
+pub fn mesh256(r: &Runner, p: Params) -> Report {
+    let spec = RunSpec::new(Protocol::Lrc, WorkloadKind::Mp3d, p.scale, 256).with_seed(p.seed);
+    let res = r.run_one(&spec);
+    let mut t = Table::new(vec!["procs", "simulated cycles", "events", "peak queue depth"]);
+    let (cycles, events, depth) = (res.stats.total_cycles, res.events, res.peak_queue_depth);
+    t.row(vec!["256".to_string(), cycles.to_string(), events.to_string(), depth.to_string()]);
+    Report {
+        id: "mesh256".into(),
+        title: "mp3d under lazy RC on a 256-node (16×16) mesh".into(),
+        text: t.render(),
+        json: json!({
+            "scale": p.scale.name(), "procs": 256,
+            "cycles": cycles, "events": events, "peak_queue_depth": depth,
+        }),
+    }
+}
+
 /// Section 4.2: the mp3d solution-quality experiment.
 pub fn quality(_r: &Runner, p: Params) -> Report {
     // The paper's check runs 10 time steps regardless of input size.
@@ -881,9 +902,9 @@ pub fn avail(_r: &Runner, p: Params) -> Report {
 }
 
 /// All experiment ids, in paper order, followed by the extensions.
-pub const ALL_IDS: [&str; 18] = [
+pub const ALL_IDS: [&str; 19] = [
     "table1", "table2", "table3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "sweep",
-    "quality", "traffic", "scaling", "ablate", "fences", "observe", "diverge", "avail",
+    "quality", "traffic", "scaling", "mesh256", "ablate", "fences", "observe", "diverge", "avail",
 ];
 
 /// Run an experiment by id.
@@ -902,6 +923,7 @@ pub fn run_by_id(id: &str, r: &Runner, p: Params) -> Option<Report> {
         "quality" => quality(r, p),
         "traffic" => traffic(r, p),
         "scaling" => scaling(r, p),
+        "mesh256" => mesh256(r, p),
         "ablate" => crate::ablate::ablate(p),
         "fences" => crate::ablate::fences(p),
         "observe" => observe(r, p),

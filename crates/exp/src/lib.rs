@@ -36,3 +36,17 @@ pub fn utf8_args() -> Result<Vec<String>, String> {
         .map(|a| a.into_string().map_err(|a| format!("argument {a:?} is not valid UTF-8")))
         .collect()
 }
+
+/// A numeric flag's value, parsed and checked against `range` (a NaN is in
+/// no range). The error names the flag and the value, for the binaries to
+/// report as a usage error (exit 2).
+pub fn flag_number<T, R>(flag: &str, value: &str, range: R) -> Result<T, String>
+where
+    T: std::str::FromStr + PartialOrd,
+    R: std::ops::RangeBounds<T> + std::fmt::Debug,
+{
+    match value.parse() {
+        Ok(x) if range.contains(&x) => Ok(x),
+        _ => Err(format!("{flag}: invalid value '{value}' (expected a number in {range:?})")),
+    }
+}

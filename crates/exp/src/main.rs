@@ -23,10 +23,11 @@
 
 #![forbid(unsafe_code)]
 
+use lrc_core::NodeSet;
 use lrc_exp::{
-    config_hash, experiments, paper_stats, prepare_out_dir, render_html, report_json,
-    resolve_timestamp, splice_index_md, utf8_args, IndexEntry, Params, ReportMeta, RunManifest,
-    Runner, Store,
+    config_hash, experiments, flag_number, paper_stats, prepare_out_dir, render_html,
+    report_json, resolve_timestamp, splice_index_md, utf8_args, IndexEntry, Params, ReportMeta,
+    RunManifest, Runner, Store,
 };
 use lrc_json::ToJson;
 use lrc_sim::MachineConfig;
@@ -68,6 +69,19 @@ fn flag_value<'a>(args: &'a [String], i: &mut usize, flag: &str) -> &'a str {
             exit(2);
         }
     }
+}
+
+/// Parse the numeric value following a flag, exiting with a usage error
+/// that names the flag and the value when it is not a number in `range`.
+fn number<T, R>(args: &[String], i: &mut usize, flag: &str, range: R) -> T
+where
+    T: std::str::FromStr + PartialOrd,
+    R: std::ops::RangeBounds<T> + std::fmt::Debug,
+{
+    flag_number(flag, flag_value(args, i, flag), range).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        exit(2)
+    })
 }
 
 /// Validate an output-directory flag up front, exiting with the typed
@@ -118,23 +132,10 @@ fn run_cmd(args: &[String]) -> i32 {
                     exit(2);
                 });
             }
-            "--procs" => {
-                params.procs = flag_value(args, &mut i, "--procs").parse().expect("--procs N");
-            }
-            "--threads" => {
-                threads = flag_value(args, &mut i, "--threads").parse().expect("--threads N");
-            }
-            "--seeds" => {
-                seeds = flag_value(args, &mut i, "--seeds").parse().expect("--seeds N");
-                if seeds == 0 {
-                    eprintln!("--seeds must be >= 1");
-                    return 2;
-                }
-            }
-            "--timestamp" => {
-                timestamp =
-                    Some(flag_value(args, &mut i, "--timestamp").parse().expect("--timestamp T"));
-            }
+            "--procs" => params.procs = number(args, &mut i, "--procs", 1..=NodeSet::CAPACITY),
+            "--threads" => threads = number(args, &mut i, "--threads", 0..),
+            "--seeds" => seeds = number(args, &mut i, "--seeds", 1..),
+            "--timestamp" => timestamp = Some(number(args, &mut i, "--timestamp", 0..)),
             "--json" => json_dir = Some(flag_value(args, &mut i, "--json").to_string()),
             "--trace-dir" => trace_dir = Some(flag_value(args, &mut i, "--trace-dir").to_string()),
             "--store" => store_dir = Some(flag_value(args, &mut i, "--store").to_string()),

@@ -1075,7 +1075,7 @@ pub fn report_json(stats: &[ExpStats], meta: &ReportMeta) -> Value {
 const INDEX_HEADING: &str = "## Per-experiment regeneration index";
 
 /// `(id, regenerate command)` for every artifact the repo
-/// tracks — the 18 `lrc-exp` experiments plus the bench/soak extras.
+/// tracks — the 19 `lrc-exp` experiments plus the soak extras.
 const REGEN_ROWS: [(&str, &str); 21] = [
     ("table1", "`lrc-exp -- table1 --store results/store`"),
     ("table2", "`lrc-exp -- table2 --scale paper --store results/store`"),
@@ -1092,7 +1092,7 @@ const REGEN_ROWS: [(&str, &str); 21] = [
     ("scaling", "`lrc-exp -- scaling --scale small --store results/store`"),
     ("ablate", "`lrc-exp -- ablate --scale small --procs 16 --store results/store`"),
     ("fences", "`lrc-exp -- fences --scale small --procs 16 --store results/store`"),
-    ("mesh256", "`lrc-bench run --mesh256`"),
+    ("mesh256", "`lrc-exp mesh256 --scale large --store results/store`"),
     ("capacity", "`lrc-soak --capacity-sweep`"),
     ("observe", "`lrc-exp -- observe --scale tiny --procs 8 --trace-dir DIR --store results/store`"),
     ("diverge", "`lrc-exp -- diverge --scale tiny --procs 8 --store results/store`"),

@@ -4,8 +4,8 @@
 #
 #   offline — neither lockfile may name a registry or git package
 #   tier 1  — workspace release build + root-package tests (the seed
-#             gate; --workspace so the crates/exp binaries lrc-bench,
-#             lrc-soak, and lrc-check are built here too, not silently
+#             gate; --workspace so the binaries lrc-exp, lrc-bench,
+#             lrc-soak and lrc-check are built here too, not silently
 #             skipped until a later stage needs them)
 #   lint    — clippy with warnings denied, across every target
 #   docs    — rustdoc with warnings denied (broken or private intra-doc
@@ -19,6 +19,10 @@
 #             with every revisit audited and the push order reversed
 #   perfbench — the benchmark crate (its own workspace) builds against the
 #             changed crates and its tests pass
+#   bench A/B — lrc-bench ab runs the benchmark's own command on both
+#             sides and writes a v2 point
+#   smokes  — soak, snapshot, capacity, race, crash, observability and
+#             report stages drive the binaries end to end
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -74,18 +78,21 @@ echo "==> perfbench: build and test the benchmark crate"
 # snapshot must count as a failed iteration.
 cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
-echo "==> bench smoke: lrc-bench compare at tiny scale"
-# Exercises the whole measure/compare path in seconds. The committed
-# baseline is scale=small, so the gate auto-skips the threshold check at
-# tiny scale — this stage verifies the harness runs end to end and emits
-# valid JSON, not throughput (wall-clock on shared runners is too noisy
-# for a hard gate in CI; re-baseline locally with `lrc-bench run`).
-cargo build --release -q -p lrc-exp
-smoke=$(mktemp /tmp/bench_smoke.XXXXXX.json)
-./target/release/lrc-bench compare --baseline BENCH_sim.json \
-  --scale tiny --procs 16 --reps 1 --quiet --out "$smoke"
-grep -q '"schema": "lrc-bench-v1"' "$smoke"
-rm -f "$smoke"
+echo "==> bench A/B smoke: lrc-bench ab with this checkout on both sides"
+# One one-second check-lazy pair of BENCHMARK.json's own command, run in
+# this checkout for both sides. One pair is below the ten the A/B rule
+# needs, so every metric must read unresolved; the point must carry the v2
+# schema and record HEAD as the commit of both sides.
+abpoint=$(mktemp /tmp/bench_ab.XXXXXX.json)
+./target/release/lrc-bench ab --parent . --change . --workload check-lazy \
+  --pairs 1 --seconds 1 --out "$abpoint" > /dev/null
+grep -q '"schema": "lrc-bench-v2"' "$abpoint"
+head=$(git rev-parse --short HEAD)
+[ "$(grep -c "\"commit\": \"$head\"" "$abpoint")" -eq 2 ]
+verdicts=$(grep -c '"verdict": ' "$abpoint")
+[ "$verdicts" -gt 0 ]
+[ "$(grep -c '"verdict": "unresolved"' "$abpoint")" -eq "$verdicts" ]
+rm -f "$abpoint"
 
 echo "==> soak smoke: lrc-soak --smoke (fault injection + value verification)"
 # Tiny seeded chaos sweep: rates {0, 1e-3} x all four protocols, every run
