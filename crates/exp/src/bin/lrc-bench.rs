@@ -167,7 +167,6 @@ fn quartiles(xs: &[f64]) -> [f64; 3] {
 }
 
 /// One metric's comparison over the pairs.
-#[derive(Debug)]
 struct Compared {
     wins: usize,
     losses: usize,
@@ -254,7 +253,7 @@ fn main() {
         .duration_since(std::time::UNIX_EPOCH)
         .map_or(0, |d| d.as_secs());
 
-    let mut runs: Vec<Run> = Vec::with_capacity(2 * pairs);
+    let mut runs: Vec<Run> = Vec::new();
     for pair in 0..pairs {
         let seed = base + pair as u64;
         for side in if pair % 2 == 0 { [0, 1] } else { [1, 0] } {

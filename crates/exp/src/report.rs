@@ -1092,7 +1092,7 @@ const REGEN_ROWS: [(&str, &str); 21] = [
     ("scaling", "`lrc-exp -- scaling --scale small --store results/store`"),
     ("ablate", "`lrc-exp -- ablate --scale small --procs 16 --store results/store`"),
     ("fences", "`lrc-exp -- fences --scale small --procs 16 --store results/store`"),
-    ("mesh256", "`lrc-exp mesh256 --scale large --store results/store`"),
+    ("mesh256", "`lrc-exp mesh256 --scale large --procs 256 --store results/store`"),
     ("capacity", "`lrc-soak --capacity-sweep`"),
     ("observe", "`lrc-exp -- observe --scale tiny --procs 8 --trace-dir DIR --store results/store`"),
     ("diverge", "`lrc-exp -- diverge --scale tiny --procs 8 --store results/store`"),
