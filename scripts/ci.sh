@@ -108,23 +108,37 @@ echo "==> snapshot smoke: restore bit-identity + kill-and-resume soak"
 # (byte-identical round trips, typed errors for unknown versions /
 # truncation / corruption).
 cargo test -q --test snapshot_restore
-# Then the crash-resumable sweep. Cell markers are written atomically and
-# in sweep order after each verdict, so a journal prefix is byte-for-byte
-# the directory a SIGKILL would leave behind; truncating the journal and
-# resuming IS the kill test, and is deterministic where actually killing
-# a subsecond smoke run mid-flight is not.
+# Then the crash-resumable sweep, in every mode. Cell markers are written
+# atomically and in sweep order after each verdict, so a journal prefix is
+# byte-for-byte the directory a SIGKILL would leave behind; truncating the
+# journal and resuming IS the kill test, and is deterministic where
+# actually killing a subsecond smoke run mid-flight is not.
 snapdir=$(mktemp -d /tmp/soak_resume.XXXXXX)
-./target/release/lrc-soak --smoke --checkpoint-dir "$snapdir/ref" > "$snapdir/ref.out"
-cp -r "$snapdir/ref" "$snapdir/killed"
-rm "$snapdir/killed"/cell-rate0.001-* "$snapdir/killed/cell-unrecoverable.json"
-./target/release/lrc-soak --smoke --resume "$snapdir/killed" > "$snapdir/resumed.out"
-# Auto-dumped wedge-snapshot paths embed the checkpoint dir; every other
-# byte of the resumed sweep's output must match the unkilled reference.
-diff <(grep -v 'snapshot\|replay\|resume' "$snapdir/ref.out") \
-     <(grep -v 'snapshot\|replay\|resume' "$snapdir/resumed.out")
+# resume_check MODE MARKERS FLAGS...: journal the mode's smoke sweep,
+# require its manifest to name MODE, delete MARKERS (a suffix of the sweep
+# order) and resume. The report goes to stderr. Auto-dumped wedge-snapshot
+# paths embed the checkpoint dir; every other byte of the resumed sweep's
+# report must match the unkilled reference.
+resume_check() {
+  local mode=$1 markers=$2
+  shift 2
+  ./target/release/lrc-soak --smoke "$@" --checkpoint-dir "$snapdir/$mode" \
+    > "$snapdir/$mode.out" 2>&1
+  grep -q "\"mode\": \"$mode\"" "$snapdir/$mode/sweep.json"
+  cp -r "$snapdir/$mode" "$snapdir/$mode-killed"
+  (cd "$snapdir/$mode-killed" && rm $markers)
+  ./target/release/lrc-soak --smoke "$@" --resume "$snapdir/$mode-killed" \
+    > "$snapdir/$mode-resumed.out" 2>&1
+  diff <(grep -v 'snapshot\|replay\|resume' "$snapdir/$mode.out") \
+       <(grep -v 'snapshot\|replay\|resume' "$snapdir/$mode-resumed.out")
+}
+resume_check faults 'cell-rate0.001-* cell-unrecoverable.json'
+resume_check capacity 'cell-depth2-*' --capacity-sweep
+resume_check races 'cell-race-mp3d-* cell-race-racy-*' --races
+resume_check availability 'cell-avail0.25-*' --availability
 # The stall snapshot the wedged stage auto-dumped must restore into a
 # state that still reproduces the wedge (replay exits 0 = reproduced).
-./target/release/lrc-soak --replay "$snapdir/ref/wedge-unrecoverable-seed1.json" --quiet
+./target/release/lrc-soak --replay "$snapdir/faults/wedge-unrecoverable-seed1.json" --quiet
 # And the checked-in v1 wedge dump from the release that introduced the
 # snapshot format: today's decoder must still restore it and reproduce
 # the wedge (the format-compat contract, end to end).
