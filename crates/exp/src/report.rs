@@ -1076,27 +1076,28 @@ const INDEX_HEADING: &str = "## Per-experiment regeneration index";
 
 /// `(id, regenerate command)` for every artifact the repo
 /// tracks — the 19 `lrc-exp` experiments plus the soak extras.
-const REGEN_ROWS: [(&str, &str); 21] = [
-    ("table1", "`lrc-exp -- table1 --store results/store`"),
-    ("table2", "`lrc-exp -- table2 --scale paper --store results/store`"),
-    ("table3", "`lrc-exp -- table3 --scale paper --store results/store`"),
-    ("fig4", "`lrc-exp -- fig4 --scale paper --store results/store`"),
-    ("fig5", "`lrc-exp -- fig5 --scale paper --store results/store`"),
-    ("fig6", "`lrc-exp -- fig6 --scale paper --store results/store`"),
-    ("fig7", "`lrc-exp -- fig7 --scale paper --store results/store`"),
-    ("fig8", "`lrc-exp -- fig8 --scale paper --store results/store`"),
-    ("fig9", "`lrc-exp -- fig9 --scale paper --store results/store`"),
-    ("sweep", "`lrc-exp -- sweep --scale paper --store results/store`"),
-    ("quality", "`lrc-exp -- quality --scale paper --store results/store`"),
-    ("traffic", "`lrc-exp -- traffic --scale paper --store results/store`"),
-    ("scaling", "`lrc-exp -- scaling --scale small --store results/store`"),
-    ("ablate", "`lrc-exp -- ablate --scale small --procs 16 --store results/store`"),
-    ("fences", "`lrc-exp -- fences --scale small --procs 16 --store results/store`"),
+const REGEN_ROWS: [(&str, &str); 22] = [
+    ("table1", "`lrc-exp table1 --store results/store`"),
+    ("table2", "`lrc-exp table2 --scale paper --store results/store`"),
+    ("table3", "`lrc-exp table3 --scale paper --store results/store`"),
+    ("fig4", "`lrc-exp fig4 --scale paper --store results/store`"),
+    ("fig5", "`lrc-exp fig5 --scale paper --store results/store`"),
+    ("fig6", "`lrc-exp fig6 --scale paper --store results/store`"),
+    ("fig7", "`lrc-exp fig7 --scale paper --store results/store`"),
+    ("fig8", "`lrc-exp fig8 --scale paper --store results/store`"),
+    ("fig9", "`lrc-exp fig9 --scale paper --store results/store`"),
+    ("sweep", "`lrc-exp sweep --scale paper --store results/store`"),
+    ("quality", "`lrc-exp quality --scale paper --store results/store`"),
+    ("traffic", "`lrc-exp traffic --scale paper --store results/store`"),
+    ("scaling", "`lrc-exp scaling --scale small --store results/store`"),
+    ("ablate", "`lrc-exp ablate --scale small --procs 16 --store results/store`"),
+    ("fences", "`lrc-exp fences --scale small --procs 16 --store results/store`"),
     ("mesh256", "`lrc-exp mesh256 --scale large --procs 256 --store results/store`"),
     ("capacity", "`lrc-soak --capacity-sweep`"),
-    ("observe", "`lrc-exp -- observe --scale tiny --procs 8 --trace-dir DIR --store results/store`"),
-    ("diverge", "`lrc-exp -- diverge --scale tiny --procs 8 --store results/store`"),
-    ("avail", "`lrc-exp -- avail --scale tiny --procs 8 --store results/store`"),
+    ("races", "`lrc-soak --races`"),
+    ("observe", "`lrc-exp observe --scale tiny --procs 8 --trace-dir DIR --store results/store`"),
+    ("diverge", "`lrc-exp diverge --scale tiny --procs 8 --store results/store`"),
+    ("avail", "`lrc-exp avail --scale tiny --procs 8 --store results/store`"),
     ("availability", "`lrc-soak --availability`"),
 ];
 
@@ -1200,6 +1201,20 @@ mod paper_tests {
         // Appending to a doc without the heading adds the section once.
         let appended = splice_index_md("# Fresh\n");
         assert_eq!(appended.matches(INDEX_HEADING).count(), 1);
+    }
+
+    #[test]
+    fn regeneration_rows_run_as_written() {
+        // `lrc-exp` reads its first argument as the experiment id, so a
+        // row must not carry cargo's `--` separator.
+        for (id, cmd) in REGEN_ROWS {
+            let mut words = cmd.trim_matches('`').split_whitespace();
+            if words.next() == Some("lrc-exp") {
+                let first = words.next().unwrap_or("");
+                let known = crate::experiments::ALL_IDS.contains(&first);
+                assert!(known, "row {id}: `{first}` is not an experiment id in {cmd}");
+            }
+        }
     }
 
     #[test]
