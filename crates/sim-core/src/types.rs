@@ -114,7 +114,7 @@ impl Protocol {
 
 impl std::fmt::Display for Protocol {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
+        f.pad(self.name())
     }
 }
 
@@ -147,6 +147,13 @@ mod tests {
         assert!(Protocol::LrcExt.is_lazy());
         assert!(!Protocol::Erc.is_lazy());
         assert!(!Protocol::Sc.is_lazy());
+    }
+
+    #[test]
+    fn protocol_display_honours_width() {
+        assert_eq!(format!("{:<8}|", Protocol::Sc), "sc      |");
+        assert_eq!(format!("{:>9}|", Protocol::LrcExt), " lazy-ext|");
+        assert_eq!(Protocol::Erc.to_string(), "eager");
     }
 
     #[test]
