@@ -12,14 +12,15 @@
 //! fingerprints ([`Machine::fingerprint`] excludes times and statistics,
 //! so two interleavings that converge to the same protocol state are
 //! explored once). After every transition the safety oracle
-//! ([`Machine::check_violations`]) runs; at every drained state the
-//! liveness sweep ([`Machine::stuck_states`]) and the DRF ⇒ SC
-//! final-memory comparison against `lrc_sim::refint` run.
+//! ([`Machine::check_violations`]) runs; at every drained state the DRF ⇒
+//! SC oracle ([`Machine::terminal_failure`]: liveness residue, the race
+//! verdict, unflushed write conflicts and final memory against
+//! `lrc_sim::refint`) runs. A violation of either is a [`Failure`].
 
 use crate::scenario::Scenario;
-use lrc_core::{CrashPlan, Fault, FaultPlan, Machine, StuckState, Violation};
-use lrc_sim::refint::{self, RefError};
-use lrc_sim::{FxHashSet, Protocol, RaceReport, Script};
+pub use lrc_core::Failure;
+use lrc_core::{CrashPlan, Fault, FaultPlan, Machine};
+use lrc_sim::{FxHashSet, Protocol};
 
 /// Machine-construction options shared by every checker stage: build,
 /// explore, replay, minimize and render. A counterexample only reproduces
@@ -64,81 +65,6 @@ pub struct Limits {
 impl Default for Limits {
     fn default() -> Self {
         Limits { max_states: 200_000, max_depth: 4_000 }
-    }
-}
-
-/// What went wrong on one path.
-#[derive(Debug, Clone)]
-pub enum Failure {
-    /// A coherence invariant broke mid-path.
-    Safety(Vec<Violation>),
-    /// The machine drained with work left undone.
-    Liveness(Vec<StuckState>),
-    /// The drained machine's final memory disagrees with the reference
-    /// sequentially consistent execution.
-    ValueMismatch(Vec<String>),
-    /// Two nodes held unflushed writes to the same word at quiescence
-    /// (only possible for racy programs — scenarios are DRF, so this is a
-    /// protocol bug).
-    WriteRace(Vec<(u64, usize)>),
-    /// The happens-before race detector found unsynchronized conflicting
-    /// accesses (race-enabled machines only). This is a property of the
-    /// *program*, not the protocol: it voids the DRF ⇒ SC obligation, so
-    /// the value checks are skipped on paths carrying this failure.
-    HbRace(Vec<RaceReport>),
-    /// The reference interpreter could not follow the machine's observed
-    /// synchronization order.
-    Reference(String),
-}
-
-impl std::fmt::Display for Failure {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Failure::Safety(vs) => {
-                write!(f, "safety: ")?;
-                for (i, v) in vs.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, "; ")?;
-                    }
-                    write!(f, "{v}")?;
-                }
-                Ok(())
-            }
-            Failure::Liveness(ss) => {
-                write!(f, "liveness: ")?;
-                for (i, s) in ss.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, "; ")?;
-                    }
-                    write!(f, "{s}")?;
-                }
-                Ok(())
-            }
-            Failure::ValueMismatch(diffs) => {
-                write!(f, "final memory differs from the reference SC execution: ")?;
-                for (i, d) in diffs.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, "; ")?;
-                    }
-                    write!(f, "{d}")?;
-                }
-                Ok(())
-            }
-            Failure::WriteRace(words) => {
-                write!(f, "conflicting unflushed writes at quiescence: {words:?}")
-            }
-            Failure::HbRace(reports) => {
-                write!(f, "data race: ")?;
-                for (i, r) in reports.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, "; ")?;
-                    }
-                    write!(f, "{}", r.render())?;
-                }
-                Ok(())
-            }
-            Failure::Reference(e) => write!(f, "reference interpreter: {e}"),
-        }
     }
 }
 
@@ -207,73 +133,6 @@ pub fn build_machine_opts(
     m
 }
 
-/// Check every property of a drained machine: liveness residue, write
-/// races, and final memory against the reference SC interpreter. Public so
-/// fault-recovery tests and harnesses can apply the same oracle to
-/// machines they stepped themselves.
-pub fn terminal_failure(m: &Machine, script: &Script) -> Option<Failure> {
-    let stuck = m.stuck_states();
-    if !stuck.is_empty() {
-        return Some(Failure::Liveness(stuck));
-    }
-    // A crash-stop death loses the victim's remaining script and possibly
-    // its dirty lines (typed data loss, by design), so the final memory
-    // cannot be expected to match a full reference execution. Liveness
-    // above is the crash run's oracle: survivors must still complete.
-    if m.crash_occurred() {
-        return None;
-    }
-    // The detector's verdict gates everything downstream: DRF ⇒ SC is an
-    // implication, and a racy program voids its premise — write-overlay
-    // conflicts and reference-memory divergence are then properties of the
-    // program, not protocol bugs. Detector-off machines keep the historical
-    // behavior of trusting the scenario library's DRF promise.
-    if let Some(rs) = m.race_stats() {
-        if !rs.race_free() {
-            return Some(Failure::HbRace(rs.reports.clone()));
-        }
-    }
-    let (mem, conflicts) = m.final_memory().expect("value tracking enabled");
-    if !conflicts.is_empty() {
-        return Some(Failure::WriteRace(conflicts));
-    }
-    let cfg = m.config();
-    match refint::interpret(script, cfg.line_size, cfg.word_size, m.grant_log()) {
-        Ok(ref_mem) => {
-            if mem == ref_mem {
-                None
-            } else {
-                let mut diffs = Vec::new();
-                for (k, v) in &ref_mem {
-                    match mem.get(k) {
-                        Some(got) if got == v => {}
-                        Some(got) => diffs.push(format!(
-                            "line {} word {}: machine has P{}#{}, reference has P{}#{}",
-                            k.0, k.1, got.proc, got.seq, v.proc, v.seq
-                        )),
-                        None => diffs.push(format!(
-                            "line {} word {}: machine lost P{}#{}",
-                            k.0, k.1, v.proc, v.seq
-                        )),
-                    }
-                }
-                for (k, got) in &mem {
-                    if !ref_mem.contains_key(k) {
-                        diffs.push(format!(
-                            "line {} word {}: machine invented P{}#{}",
-                            k.0, k.1, got.proc, got.seq
-                        ));
-                    }
-                }
-                Some(Failure::ValueMismatch(diffs))
-            }
-        }
-        Err(e @ (RefError::GrantOrderMismatch { .. } | RefError::Stuck { .. })) => {
-            Some(Failure::Reference(e.to_string()))
-        }
-    }
-}
-
 /// [`check_opts`] with default options.
 pub fn check(
     scenario: &Scenario,
@@ -331,7 +190,7 @@ fn check_root(root: Machine, scenario: &Scenario, limits: Limits) -> CheckReport
         let pending = m.num_pending();
         if pending == 0 {
             report.terminals += 1;
-            if let Some(failure) = terminal_failure(&m, &script) {
+            if let Some(failure) = m.terminal_failure(&script) {
                 report.counterexample = Some(Counterexample { schedule, failure });
                 return report;
             }
@@ -408,5 +267,5 @@ pub(crate) fn replay_on(
         // "does not fail".
         return (None, m);
     }
-    (terminal_failure(&m, &script), m)
+    (m.terminal_failure(&script), m)
 }

@@ -25,6 +25,11 @@
 //!   the lock-grant order the machine actually produced, and no two nodes
 //!   may hold unflushed writes to the same word.
 //!
+//! Liveness and DRF ⇒ SC are one oracle in `lrc-core`,
+//! [`lrc_core::Machine::terminal_failure`], which `lrc-soak` also runs on
+//! every value-tracking cell; a violation of any property is a
+//! [`lrc_core::Failure`].
+//!
 //! On a violation the failing schedule is shrunk by delta debugging
 //! ([`minimize::minimize`]) and rendered as a protocol message timeline
 //! ([`report::render`]). Replays are deterministic: the printed schedule
@@ -50,30 +55,34 @@ pub mod scenario;
 use explore::{BuildOpts, CheckReport, Limits};
 use lrc_core::Fault;
 use lrc_sim::Protocol;
-use minimize::FailureClass;
 use scenario::Scenario;
 
-/// Parse a CLI protocol name ("sc", "eager", "lazy", "lazy-ext").
+/// Parse a CLI protocol name ("sc", "eager", "lazy", "lazy-ext", or an
+/// alias [`Protocol::parse`] accepts).
 pub fn parse_protocol(s: &str) -> Result<Protocol, String> {
-    Protocol::ALL
-        .iter()
-        .copied()
-        .find(|p| p.name() == s)
-        .ok_or_else(|| format!("unknown protocol {s:?} (sc, eager, lazy, lazy-ext)"))
+    Protocol::parse(s).ok_or_else(|| format!("unknown protocol {s:?} (sc, eager, lazy, lazy-ext)"))
 }
 
-/// Parse a CLI fault name ("none", "skip-invalidate", "skip-write-notice",
-/// "skip-lock-reclaim").
+/// Every injectable fault with its CLI spelling, read both ways by
+/// [`parse_fault`] and [`fault_name`].
+const FAULTS: [(Fault, &str); 4] = [
+    (Fault::None, "none"),
+    (Fault::SkipInvalidate, "skip-invalidate"),
+    (Fault::SkipWriteNotice, "skip-write-notice"),
+    (Fault::SkipLockReclaim, "skip-lock-reclaim"),
+];
+
+/// Parse a CLI fault name, as [`fault_name`] spells it.
 pub fn parse_fault(s: &str) -> Result<Fault, String> {
-    match s {
-        "none" => Ok(Fault::None),
-        "skip-invalidate" => Ok(Fault::SkipInvalidate),
-        "skip-write-notice" => Ok(Fault::SkipWriteNotice),
-        "skip-lock-reclaim" => Ok(Fault::SkipLockReclaim),
-        _ => Err(format!(
-            "unknown fault {s:?} (none, skip-invalidate, skip-write-notice, skip-lock-reclaim)"
-        )),
-    }
+    FAULTS.iter().find(|&&(_, name)| name == s).map(|&(fault, _)| fault).ok_or_else(|| {
+        let names: Vec<&str> = FAULTS.iter().map(|&(_, name)| name).collect();
+        format!("unknown fault {s:?} ({})", names.join(", "))
+    })
+}
+
+/// CLI spelling of a fault, for the reproduction line.
+pub fn fault_name(fault: Fault) -> &'static str {
+    FAULTS.iter().find(|&&(f, _)| f == fault).map(|&(_, name)| name).expect("every fault listed")
 }
 
 /// Outcome of one fully processed (scenario, protocol, fault) run: the
@@ -111,9 +120,8 @@ pub fn check_and_minimize(
         .counterexample
         .as_ref()
         .map(|cex| {
-            let class = FailureClass::of(&cex.failure);
             let (schedule, failure) =
-                minimize::minimize(scenario, protocol, fault, opts, &cex.schedule, class);
+                minimize::minimize(scenario, protocol, fault, opts, &cex.schedule, &cex.failure);
             let min_cex = explore::Counterexample { schedule, failure };
             let rendered = report::render(scenario, protocol, fault, opts, &min_cex);
             (min_cex.schedule, rendered)

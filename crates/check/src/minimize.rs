@@ -6,63 +6,34 @@
 //! runnable schedule. Minimization exploits that: drop chunks of choices
 //! (classic ddmin), rewrite surviving choices to 0, and trim trailing
 //! zeros, keeping each edit only if the replayed schedule still exhibits
-//! the *same class* of failure. The result is the short suffix-free core
-//! of scheduling decisions that actually provoke the bug.
+//! the *same kind* of failure (the same [`Failure`] variant). The result
+//! is the short suffix-free core of scheduling decisions that actually
+//! provoke the bug.
 
 use crate::explore::{replay_schedule, BuildOpts, Failure};
 use crate::scenario::Scenario;
 use lrc_core::Fault;
 use lrc_sim::Protocol;
+use std::mem::discriminant;
 
-/// The coarse failure class used to decide whether a shrunken schedule
-/// still reproduces "the same bug".
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FailureClass {
-    /// An invariant violation mid-path.
-    Safety,
-    /// A stuck drained machine.
-    Liveness,
-    /// Final memory diverged from the reference execution.
-    Value,
-    /// Conflicting unflushed writes at quiescence.
-    Race,
-    /// The happens-before detector reported a data race.
-    HbRace,
-    /// The reference interpreter rejected the observed sync order.
-    Reference,
-}
-
-impl FailureClass {
-    /// The class of a concrete failure.
-    pub fn of(f: &Failure) -> FailureClass {
-        match f {
-            Failure::Safety(_) => FailureClass::Safety,
-            Failure::Liveness(_) => FailureClass::Liveness,
-            Failure::ValueMismatch(_) => FailureClass::Value,
-            Failure::WriteRace(_) => FailureClass::Race,
-            Failure::HbRace(_) => FailureClass::HbRace,
-            Failure::Reference(_) => FailureClass::Reference,
-        }
-    }
-}
-
-/// Shrink `schedule` while preserving a failure of class `class`, replaying
-/// every candidate on machines built with the `opts` the counterexample was
-/// found under (a [`FailureClass::HbRace`] failure, or one that needs a
-/// crash or NACK choice point, only exists with that option armed).
-/// Returns the minimized schedule together with the failure its replay
-/// produces (guaranteed to be of the same class).
+/// Shrink `schedule` while preserving a failure of the same kind as
+/// `failure`, replaying every candidate on machines built with the `opts`
+/// the counterexample was found under (a [`Failure::HbRace`], or a failure
+/// that needs a crash or NACK choice point, only exists with that option
+/// armed). Returns the minimized schedule together with the failure its
+/// replay produces (guaranteed to be of the same kind).
 pub fn minimize(
     scenario: &Scenario,
     protocol: Protocol,
     fault: Fault,
     opts: BuildOpts,
     schedule: &[usize],
-    class: FailureClass,
+    failure: &Failure,
 ) -> (Vec<usize>, Failure) {
+    let kind = discriminant(failure);
     let still_fails = |s: &[usize]| -> Option<Failure> {
         let (f, _) = replay_schedule(scenario, protocol, fault, opts, s);
-        f.filter(|f| FailureClass::of(f) == class)
+        f.filter(|f| discriminant(f) == kind)
     };
 
     let mut cur: Vec<usize> = schedule.to_vec();

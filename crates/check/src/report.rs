@@ -4,6 +4,7 @@
 //! reproduce the run.
 
 use crate::explore::{build_machine_opts, replay_on, BuildOpts, Counterexample, Failure};
+use crate::fault_name;
 use crate::scenario::Scenario;
 use lrc_core::{Fault, TraceFilter};
 use lrc_sim::Protocol;
@@ -15,16 +16,6 @@ const TRACE_CAP: usize = 10_000;
 
 /// Flight-recorder depth per node for the last-events tail of a report.
 const FLIGHT_CAP: usize = 16;
-
-/// CLI spelling of a fault, for the reproduction line.
-pub fn fault_name(fault: Fault) -> &'static str {
-    match fault {
-        Fault::None => "none",
-        Fault::SkipInvalidate => "skip-invalidate",
-        Fault::SkipWriteNotice => "skip-write-notice",
-        Fault::SkipLockReclaim => "skip-lock-reclaim",
-    }
-}
 
 /// Render a counterexample found on machines built with `opts` as a full
 /// report: reproduction header (the reproduce line carries every armed

@@ -19,10 +19,8 @@
 //! terminals and outcomes, so no pinned count depends on search order.
 
 use lrc_check::explore::{
-    build_machine_opts, check, check_opts, replay_schedule, terminal_failure, BuildOpts,
-    CheckReport, Failure, Limits,
+    build_machine_opts, check, check_opts, replay_schedule, BuildOpts, CheckReport, Failure, Limits,
 };
-use lrc_check::minimize::FailureClass;
 use lrc_check::{check_and_minimize, scenario};
 use lrc_core::{Fault, Machine};
 use lrc_sim::{FoldHasher, FxHashMap, FxHashSet, Protocol};
@@ -241,7 +239,7 @@ fn walk(scenario: &str, p: usize, raced: bool, order: Order, audit: bool) -> Wal
         if m.num_pending() == 0 {
             w.terminals += 1;
             let (memory, _) = m.final_memory().expect("value tracking is on");
-            let verdict = terminal_failure(&m, &script).map(|f| f.to_string());
+            let verdict = m.terminal_failure(&script).map(|f| f.to_string());
             outcomes.insert(fold(&(memory, verdict)));
         }
         let mut kids = children(m);
@@ -420,7 +418,7 @@ fn skip_invalidate_fault_yields_minimized_safety_counterexample() {
             check_and_minimize(&s, Protocol::Erc, Fault::SkipInvalidate, opts, EXHAUSTIVE);
         assert!(!outcome.passed(), "injected stale-copy bug went undetected under {opts:?}");
         let cex = outcome.report.counterexample.as_ref().unwrap();
-        assert_eq!(FailureClass::of(&cex.failure), FailureClass::Safety, "{}", cex.failure);
+        assert!(matches!(cex.failure, Failure::Safety(_)), "{}", cex.failure);
 
         let minimized = outcome.minimized.as_ref().unwrap();
         assert!(
@@ -448,7 +446,7 @@ fn skip_write_notice_fault_yields_minimized_liveness_counterexample() {
     let outcome = check_and_minimize(&s, Protocol::Lrc, Fault::SkipWriteNotice, PLAIN, EXHAUSTIVE);
     assert!(!outcome.passed(), "injected lost-write-notice bug went undetected");
     let cex = outcome.report.counterexample.as_ref().unwrap();
-    assert_eq!(FailureClass::of(&cex.failure), FailureClass::Liveness, "{}", cex.failure);
+    assert!(matches!(cex.failure, Failure::Liveness(_)), "{}", cex.failure);
 
     let minimized = outcome.minimized.as_ref().unwrap();
     let (failure, m) = replay_schedule(&s, Protocol::Lrc, Fault::SkipWriteNotice, PLAIN, minimized);
@@ -525,10 +523,9 @@ fn racy_scenario_yields_minimized_race_counterexample() {
         let outcome = check_and_minimize(&s, p, Fault::None, opts, bounded(20_000));
         assert!(!outcome.passed(), "racy scenario passed under {what}");
         let cex = outcome.report.counterexample.as_ref().unwrap();
-        assert_eq!(
-            FailureClass::of(&cex.failure),
-            FailureClass::HbRace,
-            "wrong class under {what}: {}",
+        assert!(
+            matches!(cex.failure, Failure::HbRace(_)),
+            "wrong kind under {what}: {}",
             cex.failure
         );
 
@@ -565,6 +562,32 @@ fn race_verdict_gates_value_checks_on_the_racy_scenario() {
             }
             other => panic!("{}: expected HbRace, got {other:?}", p.name()),
         }
+    }
+}
+
+#[test]
+fn racy_scenario_without_the_detector_fails_the_value_comparison() {
+    // The negative control of the final-memory comparison: with no detector
+    // to void the DRF premise, the racy scenario's planted race reaches the
+    // oracle's last check under every protocol, and the minimized schedule
+    // replays to the same kind of failure.
+    let s = scenario::racy();
+    for p in Protocol::ALL {
+        let outcome = check_and_minimize(&s, p, Fault::None, PLAIN, bounded(20_000));
+        let cex = outcome.report.counterexample.as_ref();
+        let cex = cex.unwrap_or_else(|| panic!("racy scenario passed under {}", p.name()));
+        assert!(matches!(cex.failure, Failure::ValueMismatch(_)), "{}: {}", p.name(), cex.failure);
+
+        let minimized = outcome.minimized.as_ref().unwrap();
+        let (failure, _) = replay_schedule(&s, p, Fault::None, PLAIN, minimized);
+        assert!(
+            matches!(failure, Some(Failure::ValueMismatch(_))),
+            "{}: the minimized schedule does not replay: {failure:?}",
+            p.name()
+        );
+        let rendered = outcome.rendered.as_ref().unwrap();
+        let verdict = "final memory differs from the reference SC execution: line 0 word 0:";
+        assert!(rendered.contains(verdict), "{rendered}");
     }
 }
 
@@ -625,7 +648,7 @@ fn dropped_messages_recover_under_every_protocol() {
     // machinery must recover the loss on every protocol — the terminal
     // state drains clean and final memory still matches the reference SC
     // execution.
-    use lrc_check::explore::{build_machine, terminal_failure};
+    use lrc_check::explore::build_machine;
     use lrc_core::{FaultPlan, MsgClass};
     let s = scenario::by_name("handoff").unwrap();
     let script = s.script();
@@ -646,7 +669,7 @@ fn dropped_messages_recover_under_every_protocol() {
                     p.name(),
                     class.name(),
                 );
-                let f = terminal_failure(&m, &script);
+                let f = m.terminal_failure(&script);
                 assert!(f.is_none(), "{} drop {}#{n}: {}", p.name(), class.name(), f.unwrap());
             }
         }

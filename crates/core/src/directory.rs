@@ -349,15 +349,6 @@ impl DirEntry {
         self.check();
     }
 
-    /// Add `node` as a reader under a `k`-pointer limited directory:
-    /// sets the overflow bit when the sharer count exceeds the pointers.
-    pub fn add_sharer_limited(&mut self, node: NodeId, pointers: usize) {
-        self.add_sharer(node);
-        if self.sharer_count() as usize > pointers {
-            self.overflow = true;
-        }
-    }
-
     /// Add `node` as a writer (implies sharer).
     pub fn add_writer(&mut self, node: NodeId) {
         self.sharers.insert(node);

@@ -38,7 +38,7 @@ pub mod node;
 pub mod sync;
 
 pub use directory::{nodes_in, AckCollection, DirEntry, DirState, NodeSet};
-pub use machine::checker::StuckState;
+pub use machine::checker::{Failure, StuckState};
 pub use machine::{
     Fault, Machine, MachineSnapshot, RunResult, SnapshotError, SymbolicMemory, Violation,
     MIN_SNAPSHOT_VERSION, SNAPSHOT_VERSION,

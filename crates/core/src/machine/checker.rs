@@ -1,6 +1,9 @@
 //! The model checker's driving interface: single-event stepping with an
 //! explicit choice of which pending event fires next, logical state
-//! fingerprints for visited-state pruning, and quiescence analysis.
+//! fingerprints for visited-state pruning, quiescence analysis, and the
+//! DRF ⇒ SC oracle of a drained machine ([`Machine::terminal_failure`]),
+//! which `lrc-check` runs at every terminal state and `lrc-soak` after
+//! every value-tracking cell.
 //!
 //! A normal run ([`Machine::run`]) drains the event queue in (time,
 //! insertion) order. The checker (`lrc-check`) instead clones the machine
@@ -11,10 +14,12 @@
 //! explores the *real* protocol implementation, not a model of it.
 
 use super::values::SymbolicMemory;
-use super::{Event, Machine};
+use super::{Event, Machine, Violation};
 use crate::msg::{Msg, MsgKind};
 use crate::node::ProcStatus;
-use lrc_sim::{FoldHasher, LockId, MultisetHash, NodeId, Workload};
+use lrc_sim::refint;
+use lrc_sim::{FoldHasher, LockId, MultisetHash, NodeId, RaceReport, Script, Workload};
+use std::fmt;
 use std::hash::{Hash, Hasher};
 
 /// Why a drained (event-queue-empty) machine is not a clean final state.
@@ -106,6 +111,65 @@ impl std::fmt::Display for StuckState {
     }
 }
 
+/// What a checked path violates: [`Machine::check_violations`] mid-path,
+/// or [`Machine::terminal_failure`] once the machine has drained.
+#[derive(Debug, Clone)]
+pub enum Failure {
+    /// A coherence invariant broke mid-path.
+    Safety(Vec<Violation>),
+    /// The machine drained with work left undone.
+    Liveness(Vec<StuckState>),
+    /// The drained machine's final memory disagrees with the reference
+    /// sequentially consistent execution.
+    ValueMismatch(Vec<String>),
+    /// Two nodes held unflushed writes to the same word at quiescence
+    /// (only possible for racy programs — on a DRF program, a protocol
+    /// bug).
+    WriteRace(Vec<(u64, usize)>),
+    /// The happens-before race detector found unsynchronized conflicting
+    /// accesses (race-enabled machines only). This is a property of the
+    /// *program*, not the protocol: it voids the DRF ⇒ SC obligation, so
+    /// the value checks are skipped on paths carrying this failure.
+    HbRace(Vec<RaceReport>),
+    /// The reference interpreter could not follow the machine's observed
+    /// synchronization order.
+    Reference(String),
+}
+
+impl fmt::Display for Failure {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        /// `head`, then `items` joined by "; ".
+        fn list<T: fmt::Display>(
+            f: &mut fmt::Formatter<'_>,
+            head: &str,
+            items: impl IntoIterator<Item = T>,
+        ) -> fmt::Result {
+            f.write_str(head)?;
+            for (i, item) in items.into_iter().enumerate() {
+                if i > 0 {
+                    f.write_str("; ")?;
+                }
+                write!(f, "{item}")?;
+            }
+            Ok(())
+        }
+        match self {
+            Failure::Safety(vs) => list(f, "safety: ", vs),
+            Failure::Liveness(ss) => list(f, "liveness: ", ss),
+            Failure::ValueMismatch(diffs) => {
+                list(f, "final memory differs from the reference SC execution: ", diffs)
+            }
+            Failure::WriteRace(words) => {
+                write!(f, "conflicting unflushed writes at quiescence: {words:?}")
+            }
+            Failure::HbRace(reports) => {
+                list(f, "data race: ", reports.iter().map(RaceReport::render))
+            }
+            Failure::Reference(e) => write!(f, "reference interpreter: {e}"),
+        }
+    }
+}
+
 impl Machine {
     /// Install `workload` and seed the initial `ProcStep` events without
     /// running anything — the checker takes over from here with
@@ -147,12 +211,6 @@ impl Machine {
         true
     }
 
-    /// True when every processor that can still finish has executed `Done`
-    /// (crashed processors never will; they shrink the target).
-    pub fn all_finished(&self) -> bool {
-        self.finished == self.live_finish_target()
-    }
-
     /// The lock-grant order observed so far, as `(lock, grantee)` pairs —
     /// the synchronization order the reference interpreter replays.
     pub fn grant_log(&self) -> &[(LockId, NodeId)] {
@@ -164,6 +222,13 @@ impl Machine {
     /// with [`Machine::with_value_tracking`].
     pub fn final_memory(&self) -> Option<(SymbolicMemory, Vec<(u64, usize)>)> {
         Some(self.observers.as_deref()?.values.as_ref()?.final_memory())
+    }
+
+    /// True when built with [`Machine::with_value_tracking`]: the machine
+    /// has a [`Machine::final_memory`] for [`Machine::terminal_failure`] to
+    /// compare.
+    pub fn tracks_values(&self) -> bool {
+        self.observers.as_deref().is_some_and(|o| o.values.is_some())
     }
 
     /// Liveness sweep for a drained machine: everything that should have
@@ -231,6 +296,75 @@ impl Machine {
             }
         }
         out
+    }
+
+    /// The DRF ⇒ SC oracle of a drained machine running `script`, in
+    /// order: no liveness residue ([`Machine::stuck_states`]); then, unless
+    /// a node crashed, the race detector's verdict when it is armed, no
+    /// conflicting unflushed writes, and final memory equal to the
+    /// reference sequentially consistent interpretation of `script`
+    /// (`lrc_sim::refint`) under the lock-grant order the machine produced.
+    /// `None` when every check passes.
+    ///
+    /// # Panics
+    /// If the machine was built without [`Machine::with_value_tracking`].
+    pub fn terminal_failure(&self, script: &Script) -> Option<Failure> {
+        let stuck = self.stuck_states();
+        if !stuck.is_empty() {
+            return Some(Failure::Liveness(stuck));
+        }
+        // A crash-stop death loses the victim's remaining script and possibly
+        // its dirty lines (typed data loss, by design), so the final memory
+        // cannot be expected to match a full reference execution. Liveness
+        // above is the crash run's oracle: survivors must still complete.
+        if self.crash_occurred() {
+            return None;
+        }
+        // The detector's verdict gates everything downstream: DRF ⇒ SC is an
+        // implication, and a racy program voids its premise — write-overlay
+        // conflicts and reference-memory divergence are then properties of
+        // the program, not protocol bugs. Detector-off machines trust the
+        // program's DRF promise.
+        if let Some(rs) = self.race_stats() {
+            if !rs.race_free() {
+                return Some(Failure::HbRace(rs.reports.clone()));
+            }
+        }
+        let (mem, conflicts) = self.final_memory().expect("value tracking enabled");
+        if !conflicts.is_empty() {
+            return Some(Failure::WriteRace(conflicts));
+        }
+        let (line_size, word_size) = (self.cfg.line_size, self.cfg.word_size);
+        let ref_mem = match refint::interpret(script, line_size, word_size, &self.grant_log) {
+            Ok(ref_mem) => ref_mem,
+            Err(e) => return Some(Failure::Reference(e.to_string())),
+        };
+        if mem == ref_mem {
+            return None;
+        }
+        let mut diffs = Vec::new();
+        for (k, v) in &ref_mem {
+            match mem.get(k) {
+                Some(got) if got == v => {}
+                Some(got) => diffs.push(format!(
+                    "line {} word {}: machine has P{}#{}, reference has P{}#{}",
+                    k.0, k.1, got.proc, got.seq, v.proc, v.seq
+                )),
+                None => diffs.push(format!(
+                    "line {} word {}: machine lost P{}#{}",
+                    k.0, k.1, v.proc, v.seq
+                )),
+            }
+        }
+        for (k, got) in &mem {
+            if !ref_mem.contains_key(k) {
+                diffs.push(format!(
+                    "line {} word {}: machine invented P{}#{}",
+                    k.0, k.1, got.proc, got.seq
+                ));
+            }
+        }
+        Some(Failure::ValueMismatch(diffs))
     }
 
     /// A 64-bit fingerprint of the machine's *logical* state: everything

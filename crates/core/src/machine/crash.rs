@@ -565,9 +565,8 @@ impl Machine {
         }
     }
 
-    /// True when at least one node has crashed so far. Public so harnesses
-    /// (the checker's terminal oracle, soak sweeps) can tell degraded runs
-    /// from clean ones.
+    /// True when at least one node has crashed so far: a degraded run,
+    /// whose final memory [`Machine::terminal_failure`] does not compare.
     pub fn crash_occurred(&self) -> bool {
         self.crash.as_deref().is_some_and(|c| !c.crashed.is_empty())
     }

@@ -36,8 +36,8 @@ use crate::msg::{Msg, MsgKind};
 use crate::node::{Node, ProcStatus};
 use lrc_mesh::{FaultPlan, Network};
 use lrc_sim::{
-    Addr, Cycle, EventQueue, LatencyStats, LineAddr, LineMap, MachineConfig, MachineStats, NodeId,
-    ProcId, Protocol, StallDiagnosis, StallKind, StallReason, StalledProc, Workload,
+    Addr, Cycle, EventQueue, LineAddr, LineMap, MachineConfig, MachineStats, NodeId, ProcId,
+    Protocol, StallDiagnosis, StallKind, StallReason, StalledProc, Workload,
 };
 use lrc_trace::{
     FlightRecorder, ResourceEv, RingSink, TimeSeries, TraceFilter, TraceRecord, TraceSink,
@@ -247,9 +247,9 @@ pub struct Machine {
     /// (see [`Machine::delivery_reordering_possible`]).
     pub(crate) choice_driven: bool,
     /// Events handled so far by [`Machine::run_until`] (drives the
-    /// watchdog/invariant cadence and `RunResult::events`). A field, not a
+    /// invariant-check cadence and `RunResult::events`). A field, not a
     /// loop local, so a restored machine continues the count — and with it
-    /// the scan cadence — exactly where the checkpoint left off.
+    /// the check cadence — exactly where the checkpoint left off.
     pub(crate) handled: u64,
     /// Ops consumed from the workload per processor (`next_op` calls).
     /// Checkpoints store these counts instead of workload internals: a
@@ -553,13 +553,6 @@ impl Machine {
             .unwrap_or_default()
     }
 
-    /// Live latency histograms accumulated so far (`None` when probes are
-    /// off). After a completed run they are folded into
-    /// [`MachineStats::latencies`] and this view is empty again.
-    pub fn latency_stats(&self) -> Option<&LatencyStats> {
-        self.observers.as_ref().and_then(|o| o.probe.as_ref()).map(|p| &p.hist)
-    }
-
     /// Sweep the global coherence invariants every `events` handled events,
     /// panicking with a machine dump on the first violation. Expensive —
     /// meant for tests and debugging (see `machine::invariants`).
@@ -693,10 +686,14 @@ impl Machine {
     /// checkpoint can capture. Pausing does not disturb the run: resuming
     /// with a higher limit replays the uninterrupted event order exactly.
     pub fn run_until(&mut self, limit: Cycle) -> Result<bool, Box<StallDiagnosis>> {
-        // How often (in handled events) the stall watchdog rescans the
-        // processors: rare enough to stay off the hot path, frequent enough
-        // that a livelock is caught within a sliver of its horizon.
-        const WATCHDOG_SCAN_EVERY: u64 = 4096;
+        // The stall watchdog rescans the processors whenever simulated time
+        // crosses a multiple of 2^scan_shift, the largest power of two at
+        // most an eighth of its horizon: rare enough to stay off the hot
+        // path, frequent enough that a stall is caught within an eighth of
+        // the horizon past it, however few events the run handles. The
+        // cadence depends only on the times of consecutive events, which a
+        // restored machine brings back with its clock.
+        let scan_shift = self.watchdog.map_or(0, |h| (h / 8).max(1).ilog2());
 
         loop {
             match self.queue.peek_time() {
@@ -704,6 +701,7 @@ impl Machine {
                 Some(t) if t >= limit => return Ok(true),
                 Some(_) => {}
             }
+            let before = self.queue.now();
             let (t, ev) = self.queue.pop().expect("peeked non-empty");
             if t > self.max_cycles {
                 return Err(Box::new(
@@ -715,7 +713,7 @@ impl Machine {
             if self.crash.is_some() {
                 self.crash_nth_poll(t);
             }
-            if self.watchdog.is_some() && self.handled.is_multiple_of(WATCHDOG_SCAN_EVERY) {
+            if self.watchdog.is_some() && t >> scan_shift != before >> scan_shift {
                 if let Some(diag) = self.scan_stalls(t) {
                     return Err(Box::new(diag));
                 }

@@ -588,11 +588,6 @@ impl MachineSnapshot {
         <Dec as Wire<u64>>::take(&self.root, "now", Ctx::default()).unwrap_or(0)
     }
 
-    /// Name of the workload the captured run was executing.
-    pub fn workload_name(&self) -> &str {
-        self.root["workload"]["name"].as_str().unwrap_or("")
-    }
-
     /// The protocol the captured machine was simulating.
     pub fn protocol(&self) -> Option<Protocol> {
         self.root.get("protocol").and_then(Protocol::from_json)

@@ -7,12 +7,14 @@
 //! 1. it runs with the progress watchdog armed, so a wedge surfaces as a
 //!    structured [`StallDiagnosis`], never a hang;
 //! 2. the completed run passes its mode's check (below);
-//! 3. when the machine tracks values, its final memory must equal the
-//!    reference sequentially consistent execution replayed over the
-//!    observed lock grant order (DRF ⇒ SC). The premise of that
-//!    implication is *checked*, not assumed: such machines run with the
-//!    happens-before race detector armed, and values are compared only
-//!    once the detector certifies the run race-free;
+//! 3. when the machine tracks values, it passes the DRF ⇒ SC oracle that
+//!    `lrc-check` runs at every terminal state, `Machine::terminal_failure`:
+//!    no liveness residue, and final memory equal to the reference
+//!    sequentially consistent execution replayed over the observed lock
+//!    grant order. The premise of that implication is *checked*, not
+//!    assumed: such machines run with the happens-before race detector
+//!    armed, and values are compared only once the detector certifies the
+//!    run race-free;
 //! 4. it runs again and must reproduce bit-identical statistics, race
 //!    reports included: the whole simulation is a pure function of the
 //!    cell.
@@ -67,10 +69,8 @@
 
 use lrc_core::{
     CrashPlan, FaultPlan, FaultRates, Machine, MachineSnapshot, MsgClass, NodeSet, StallDiagnosis,
-    SymbolicMemory,
 };
 use lrc_json::{json_struct, Ctx, Dec, DecodeError, FromJson, ToJson, Value, Wire};
-use lrc_sim::refint;
 use lrc_sim::{MachineConfig, MachineStats, Op, Protocol, ResourceLimits, Rng, Script, Workload};
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -140,57 +140,14 @@ impl SoakParams {
     }
 }
 
-/// Check a completed machine and its final memory `(mem, conflicts)`
-/// against the reference SC execution of `script`: no liveness residue,
-/// no races, no conflicting unflushed writes, and memory equal to the
-/// reference interpreter replaying the observed grant order.
-fn verify_values(
-    m: &Machine,
-    (mem, conflicts): (SymbolicMemory, Vec<(u64, usize)>),
-    script: &Script,
-) -> Result<(), String> {
-    let stuck = m.stuck_states();
-    if !stuck.is_empty() {
-        let rendered: Vec<String> = stuck.iter().map(|s| s.to_string()).collect();
-        return Err(format!("liveness residue: {}", rendered.join("; ")));
-    }
-    // DRF ⇒ SC is an implication; establish the premise before comparing
-    // values. The soak generator is DRF by construction, so a reported race
-    // here is itself a failure — of the generator or the detector — and the
-    // value comparison below would be meaningless noise on top of it.
-    if let Some(rs) = m.race_stats() {
-        if !rs.race_free() {
-            let first = rs.reports.first().map_or(String::new(), |r| format!(" — {}", r.render()));
-            return Err(format!(
-                "race detector found {} race(s) in a supposedly DRF program{first}",
-                rs.races_found
-            ));
-        }
-    }
-    if !conflicts.is_empty() {
-        return Err(format!("conflicting unflushed writes at quiescence: {conflicts:?}"));
-    }
-    let cfg = m.config();
-    let ref_mem = refint::interpret(script, cfg.line_size, cfg.word_size, m.grant_log())
-        .map_err(|e| e.to_string())?;
-    if mem != ref_mem {
-        let diffs = ref_mem.iter().filter(|(k, v)| mem.get(k) != Some(v)).count()
-            + mem.keys().filter(|k| !ref_mem.contains_key(k)).count();
-        return Err(format!(
-            "final memory differs from the reference SC execution ({diffs} words)"
-        ));
-    }
-    Ok(())
-}
-
 /// A cell's machine before its mode's options: watchdog armed, cycles capped.
 fn machine(cfg: &MachineConfig, proto: Protocol, watchdog: u64) -> Machine {
     Machine::new(cfg.clone(), proto).with_watchdog(watchdog).with_max_cycles(50_000_000_000)
 }
 
 /// [`machine`] with value tracking and the race detector, so
-/// [`verify_values`]' DRF ⇒ SC comparison rests on a checked verdict
-/// instead of the generator's promise.
+/// `Machine::terminal_failure`'s DRF ⇒ SC comparison rests on a checked
+/// verdict instead of the generator's promise.
 fn verified(cfg: &MachineConfig, proto: Protocol, watchdog: u64) -> Machine {
     machine(cfg, proto, watchdog).with_value_tracking().with_race_detection()
 }
@@ -224,7 +181,7 @@ struct Cell<'a> {
 
 /// How a cell failed.
 enum Failure {
-    /// A check failed: the mode's, value verification, or reproduction.
+    /// A check failed: the mode's, the DRF ⇒ SC oracle, or reproduction.
     Failed(String),
     /// The first run wedged; the machine rides along to be dumped.
     Wedged(Box<StallDiagnosis>, Box<Machine>),
@@ -248,8 +205,10 @@ impl Cell<'_> {
         let (m, w) = self.fresh();
         let (first, m) = m.try_run_wedge(w).map_err(|(diag, m)| Failure::Wedged(diag, m))?;
         let pass = (self.check)(&first.stats).map_err(Failure::Failed)?;
-        if let (Load::Soak(p), Some(mem)) = (&self.load, m.final_memory()) {
-            verify_values(&m, mem, &p.script(m.config())).map_err(Failure::Failed)?;
+        if let (Load::Soak(p), true) = (&self.load, m.tracks_values()) {
+            if let Some(f) = m.terminal_failure(&p.script(m.config())) {
+                return Err(Failure::Failed(f.to_string()));
+            }
         }
         let (m, w) = self.fresh();
         match m.try_run(w) {

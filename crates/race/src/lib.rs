@@ -278,11 +278,6 @@ impl RaceDetector {
         self.stats.race_free()
     }
 
-    /// Processor `p`'s current vector clock.
-    pub fn clock_of(&self, p: usize) -> &VectorClock {
-        &self.clocks[p]
-    }
-
     fn site(&mut self, p: usize, write: bool) -> RaceSite {
         self.refs[p] += 1;
         RaceSite { proc: p as u64, ref_index: self.refs[p], write }

@@ -270,22 +270,6 @@ impl FaultStats {
     pub fn injected(&self) -> u64 {
         self.dropped + self.duplicated + self.delayed + self.corrupted
     }
-
-    /// Counters as words, in field order (fingerprinting support).
-    pub fn as_words(&self) -> [u64; 10] {
-        [
-            self.dropped,
-            self.duplicated,
-            self.delayed,
-            self.corrupted,
-            self.link_nacks,
-            self.retries,
-            self.timeouts,
-            self.retries_exhausted,
-            self.dup_suppressed,
-            self.link_msgs,
-        ]
-    }
 }
 
 /// Machine-level finite-resource pressure counters: what the bounded
@@ -671,17 +655,6 @@ impl RaceReport {
             self.current.render()
         )
     }
-
-    /// Fields as words, in a stable order (fingerprinting support).
-    pub fn as_words(&self, out: &mut Vec<u64>) {
-        out.push(self.addr);
-        for s in [&self.prior, &self.current] {
-            out.push(s.proc);
-            out.push(s.ref_index);
-            out.push(u64::from(s.write));
-        }
-        out.extend_from_slice(&self.clocks);
-    }
 }
 
 /// Happens-before race-detection counters and the first few reports.
@@ -741,11 +714,6 @@ impl DataLossEvent {
             "data loss on line {:#x}: dirty owner n{} crashed, home n{} reclaimed stale memory at cycle {}",
             self.line, self.owner, self.home, self.detected_at
         )
-    }
-
-    /// Fields as words, in a stable order (fingerprinting support).
-    pub fn as_words(&self) -> [u64; 4] {
-        [self.line, self.owner, self.home, self.detected_at]
     }
 }
 
@@ -821,8 +789,7 @@ impl CrashStats {
         }
     }
 
-    /// Counters as words, in field order (fingerprinting support; the
-    /// data-loss reports are folded separately via their own `as_words`).
+    /// Counters as words, in field order (the machine dump prints them).
     pub fn as_words(&self) -> [u64; 16] {
         [
             self.crashes,
@@ -1108,9 +1075,6 @@ mod tests {
         let stats = RaceStats { races_found: 1, reports: vec![report.clone()], ..Default::default() };
         assert!(!stats.is_zero());
         assert!(!stats.race_free());
-        let mut words = Vec::new();
-        report.as_words(&mut words);
-        assert_eq!(words, vec![0x40, 2, 17, 1, 0, 3, 0, 5, 0, 1, 0]);
     }
 
     #[test]
@@ -1122,7 +1086,6 @@ mod tests {
             ev.render(),
             "data loss on line 0x80: dirty owner n3 crashed, home n1 reclaimed stale memory at cycle 42000"
         );
-        assert_eq!(ev.as_words(), [0x80, 3, 1, 42_000]);
         for _ in 0..(CrashStats::REPORT_CAP + 10) {
             c.record_data_loss(ev);
         }

@@ -160,34 +160,6 @@ impl Scratch {
     }
 }
 
-/// Convenience ops builder used by the generators.
-#[derive(Debug, Default)]
-pub struct OpsBuilder;
-
-impl OpsBuilder {
-    /// Read an 8-byte (double) element at `addr`.
-    #[inline]
-    pub fn read_f64(out: &mut Vec<Op>, addr: u64) {
-        out.push(Op::Read(addr));
-    }
-
-    /// Write an 8-byte (double) element at `addr`.
-    #[inline]
-    pub fn write_f64(out: &mut Vec<Op>, addr: u64) {
-        out.push(Op::Write(addr));
-    }
-
-    /// Read-modify-write with `flops` cycles of arithmetic.
-    #[inline]
-    pub fn rmw(out: &mut Vec<Op>, addr: u64, flops: u32) {
-        out.push(Op::Read(addr));
-        if flops > 0 {
-            out.push(Op::Compute(flops));
-        }
-        out.push(Op::Write(addr));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

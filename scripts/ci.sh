@@ -6,13 +6,15 @@
 #   tier 1  — workspace release build + root-package tests (the seed
 #             gate; --workspace so the binaries lrc-exp, lrc-bench,
 #             lrc-soak and lrc-check are built here too, not silently
-#             skipped until a later stage needs them)
+#             skipped until a later stage needs them). The root package's
+#             suites include the snapshot restore contract and the golden
+#             determinism fingerprints; no later stage re-runs them
 #   lint    — clippy with warnings denied, across every target
 #   docs    — rustdoc with warnings denied (broken or private intra-doc
 #             links fail here)
 #   unsafe  — every crate root must carry #![forbid(unsafe_code)]
-#   tier 2  — full workspace test suites, including the model checker's
-#             bounded configs (`cargo test -p lrc-check`)
+#   tier 2  — every other workspace crate's test suites, including the
+#             model checker's bounded configs (`cargo test -p lrc-check`)
 #   checker sweep — the model checker's ignored exhaustive sweep in
 #             release: 48 explorations, each held to its pinned state,
 #             terminal and depth counts and its terminal-outcome digest,
@@ -21,8 +23,9 @@
 #             changed crates and its tests pass
 #   bench A/B — lrc-bench ab runs the benchmark's own command on both
 #             sides and writes a v2 point
-#   smokes  — soak, snapshot, capacity, race, crash, observability and
-#             report stages drive the binaries end to end
+#   smokes  — soak, race, crash, observability and report stages drive
+#             the binaries end to end, each test and each lrc-soak smoke
+#             sweep once
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -40,6 +43,16 @@ fi
 
 echo "==> tier 1: workspace release build + root tests"
 cargo build --workspace --release
+# The root package's suites. Among them: the snapshot contract
+# (tests/snapshot_restore.rs: checkpoint mid-run, restore, run to
+# completion, fingerprint equals the uninterrupted golden run, all four
+# protocols, with and without a fault plan, plus the serialization pins:
+# byte-identical round trips, typed errors for unknown versions,
+# truncation and corruption), and the golden determinism fingerprints
+# (tests/determinism_golden.rs), which pin the default behaviour and so
+# assert that the bounded-resource machinery, the tracing, sampling and
+# histogram layer and the crash/lease subsystem, all off by default, leave
+# the simulation bit-identical until explicitly configured.
 cargo test -q
 
 echo "==> lint: clippy -D warnings (workspace, all targets)"
@@ -59,8 +72,8 @@ for root in src/lib.rs crates/*/src/lib.rs crates/*/src/main.rs; do
 done
 [ "$missing" -eq 0 ]
 
-echo "==> tier 2: workspace tests"
-cargo test --workspace -q
+echo "==> tier 2: workspace tests (the root package ran in tier 1)"
+cargo test --workspace --exclude lazy-rc -q
 
 echo "==> checker sweep: pinned counts and outcomes, congruence audit, reversed push order"
 # Six scenarios x four protocols, with and without the race detector. A
@@ -94,25 +107,14 @@ verdicts=$(grep -c '"verdict": ' "$abpoint")
 [ "$(grep -c '"verdict": "unresolved"' "$abpoint")" -eq "$verdicts" ]
 rm -f "$abpoint"
 
-echo "==> soak smoke: lrc-soak --smoke (fault injection + value verification)"
-# Tiny seeded chaos sweep: rates {0, 1e-3} x all four protocols, every run
-# checked against the reference SC execution and reproduced bit-identically,
-# plus the unrecoverable stage proving wedges die with a structured
-# diagnosis. Exits non-zero on any verification failure.
-./target/release/lrc-soak --smoke --quiet
-
-echo "==> snapshot smoke: restore bit-identity + kill-and-resume soak"
-# First the hard contract: checkpoint mid-run, restore, run to completion,
-# fingerprint equals the uninterrupted golden run — all four protocols,
-# with and without a fault plan — plus the serialization pins
-# (byte-identical round trips, typed errors for unknown versions /
-# truncation / corruption).
-cargo test -q --test snapshot_restore
-# Then the crash-resumable sweep, in every mode. Cell markers are written
-# atomically and in sweep order after each verdict, so a journal prefix is
-# byte-for-byte the directory a SIGKILL would leave behind; truncating the
-# journal and resuming IS the kill test, and is deterministic where
-# actually killing a subsecond smoke run mid-flight is not.
+echo "==> soak smoke: every lrc-soak mode at --smoke, killed and resumed"
+# Each mode's smoke sweep runs once, uninterrupted and journaled, and must
+# exit 0 (set -e): lrc-soak exits non-zero on any failed cell. Then the
+# crash-resumable sweep: cell markers are written atomically and in sweep
+# order after each verdict, so a journal prefix is byte-for-byte the
+# directory a SIGKILL would leave behind; truncating the journal and
+# resuming IS the kill test, and is deterministic where actually killing a
+# subsecond smoke run mid-flight is not.
 snapdir=$(mktemp -d /tmp/soak_resume.XXXXXX)
 # resume_check MODE MARKERS FLAGS...: journal the mode's smoke sweep,
 # require its manifest to name MODE, delete MARKERS (a suffix of the sweep
@@ -132,9 +134,24 @@ resume_check() {
   diff <(grep -v 'snapshot\|replay\|resume' "$snapdir/$mode.out") \
        <(grep -v 'snapshot\|replay\|resume' "$snapdir/$mode-resumed.out")
 }
+# The fault grid: rates {0, 1e-3} x all four protocols, every run checked
+# against the reference SC execution and reproduced bit-identically, plus
+# the unrecoverable stage proving wedges die with a structured diagnosis.
 resume_check faults 'cell-rate0.001-* cell-unrecoverable.json'
+# Finite resources: NI queue depth x write-notice budget x protocol,
+# fault-free. Every cell must complete under backpressure, verify against
+# the reference SC execution, rerun bit-identically, and the grid must
+# exercise real pressure (nonzero reject/NACK/overflow counters somewhere).
 resume_check capacity 'cell-depth2-*' --capacity-sweep
+# Happens-before race detection end to end: the five DRF generators must
+# come back clean under all four protocols, the deliberately racy programs
+# (mp3d, locusroute, and the planted racy micro workload) must be flagged,
+# and every report must reproduce bit-identically.
 resume_check races 'cell-race-mp3d-* cell-race-racy-*' --races
+# Availability: crash rates {0, 0.25} x all four protocols. Rate-0 control
+# cells verify values against the reference SC execution with the lease
+# machinery armed; crashed cells prove the survivors complete (victim
+# finish time 0, every survivor nonzero) and rerun bit-identically.
 resume_check availability 'cell-avail0.25-*' --availability
 # The stall snapshot the wedged stage auto-dumped must restore into a
 # state that still reproduces the wedge (replay exits 0 = reproduced).
@@ -145,23 +162,10 @@ resume_check availability 'cell-avail0.25-*' --availability
 ./target/release/lrc-soak --replay tests/fixtures/wedge-unrecoverable-seed1.json --quiet
 rm -rf "$snapdir"
 
-echo "==> capacity smoke: lrc-soak --capacity-sweep --smoke (finite resources)"
-# NI queue depth x write-notice budget x protocol, fault-free: every cell
-# must complete under backpressure, verify against the reference SC
-# execution, rerun bit-identically, and the grid must exercise real
-# pressure (nonzero reject/NACK/overflow counters somewhere).
-./target/release/lrc-soak --capacity-sweep --smoke --quiet
-
-echo "==> race smoke: lrc-soak --races --smoke + lrc-check --races"
-# Happens-before race detection end to end: the five DRF generators must
-# come back clean under all four protocols, the deliberately racy programs
-# (mp3d, locusroute, and the planted racy micro workload) must be flagged,
-# and every report must reproduce bit-identically.
-./target/release/lrc-soak --races --smoke --quiet
+echo "==> race smoke: lrc-check --races"
 # The checker's positive control: the racy scenario must FAIL (exit 1) with
 # a race counterexample, and a clean scenario must still PASS with the
 # detector armed.
-cargo build --release -q -p lrc-check
 if ./target/release/lrc-check --races --scenario racy --protocol lazy \
     --max-states 20000 > /tmp/race_check.out 2>&1; then
   echo "lrc-check --races failed to flag the racy positive control" >&2
@@ -173,13 +177,7 @@ grep -q 'data race' /tmp/race_check.out
   --max-states 20000 > /dev/null
 rm -f /tmp/race_check.out
 
-echo "==> crash smoke: availability sweep + lrc-check --crash-nth counterexample"
-# Availability sweep at smoke scale: crash rates {0, 0.25} x all four
-# protocols. Rate-0 control cells verify values against the reference SC
-# execution with the lease machinery armed; crashed cells prove the
-# survivors complete (victim finish time 0, every survivor nonzero) and
-# rerun bit-identically. Exits non-zero on any violation.
-./target/release/lrc-soak --availability --smoke --quiet
+echo "==> crash smoke: lrc-check --crash-nth counterexample"
 # The checker's crash choice point, negative control first: with the
 # injected recovery bug (the home skips reclaiming a dead node's locks),
 # some crash timing in 1..80 must wedge the survivors, and the minimized
@@ -286,12 +284,5 @@ fi
 rm -rf "$labdir"
 # The committed store must be current against the code being tested.
 ./target/release/lrc-exp report --store results/store --check > /dev/null
-
-echo "==> opt-in machinery costs nothing when off: golden fingerprints unchanged"
-# The golden determinism fingerprints pin the default behavior; re-running
-# them here asserts that the bounded-resource machinery, the tracing/
-# sampling/histogram layer, AND the crash/lease subsystem (all off by
-# default) leave the simulation bit-identical until explicitly configured.
-cargo test -q --test determinism_golden
 
 echo "CI green."

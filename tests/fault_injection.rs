@@ -122,3 +122,26 @@ fn stall_horizon_catches_a_wedge_while_others_make_progress() {
     assert!(diag.stalled.iter().any(|s| s.status.contains("Releasing")), "{diag}");
     assert!(diag.to_string().starts_with("watchdog:"), "{diag}");
 }
+
+#[test]
+fn stall_horizon_catches_a_stall_in_a_short_run() {
+    // P1 waits at the barrier while P0 works for ten horizons before it
+    // arrives. The run handles a few hundred events, so only a scan paced
+    // by simulated time, not by events handled, can see the wait.
+    let work: Vec<Op> = (0..50u64)
+        .flat_map(|i| [Op::Write(4096 + 64 * i), Op::Compute(2_000)])
+        .chain([Op::Barrier(0)])
+        .collect();
+    let script = || Script::new("late-arrival", vec![work.clone(), vec![Op::Barrier(0)]]);
+    let cfg = MachineConfig::paper_default(2);
+    let unwatched = Machine::new(cfg.clone(), Protocol::Lrc).run(Box::new(script()));
+    assert!(unwatched.events < 1_000, "not a short run: {} events", unwatched.events);
+    assert!(unwatched.stats.total_cycles > 100_000, "{}", unwatched.stats.total_cycles);
+
+    let diag = Machine::new(cfg, Protocol::Lrc)
+        .with_watchdog(10_000)
+        .try_run(Box::new(script()))
+        .expect_err("a barrier wait of ten horizons must trip the watchdog");
+    assert_eq!(diag.reason, StallReason::ProcStallHorizon(10_000), "{diag}");
+    assert!(diag.stalled.iter().any(|s| s.proc == 1 && s.status.contains("Barrier")), "{diag}");
+}
