@@ -1,6 +1,6 @@
 //! `lrc-soak --watchdog` bounds every cell's stalls in simulated time,
-//! however short the cell: a one-cycle horizon must fail a `--smoke` sweep,
-//! whose cells each handle too few events for a scan paced by events.
+//! however few events the cell handles: a one-cycle horizon must fail the
+//! `--smoke` sweep, whose cells are the shortest.
 
 use std::process::{Command, Stdio};
 
