@@ -30,8 +30,7 @@
 #![warn(missing_docs)]
 #![allow(clippy::new_without_default)]
 
-use lrc_sim::{LineAddr, MissClass, ProcId};
-use std::collections::HashMap;
+use lrc_sim::{LineAddr, LineMap, MissClass, ProcId};
 
 const NO_WRITER: u8 = u8::MAX;
 
@@ -68,7 +67,8 @@ pub struct Classifier {
     num_procs: usize,
     words_per_line: usize,
     version: u32,
-    blocks: HashMap<u64, BlockInfo>,
+    /// Per-line history, indexed by line address.
+    blocks: LineMap<BlockInfo>,
 }
 
 impl Classifier {
@@ -77,12 +77,12 @@ impl Classifier {
     pub fn new(num_procs: usize, words_per_line: usize) -> Self {
         assert!(num_procs < NO_WRITER as usize);
         assert!(words_per_line > 0 && words_per_line <= 64);
-        Classifier { num_procs, words_per_line, version: 0, blocks: HashMap::new() }
+        Classifier { num_procs, words_per_line, version: 0, blocks: LineMap::new() }
     }
 
     fn block(&mut self, line: LineAddr) -> &mut BlockInfo {
         let (np, wpl) = (self.num_procs, self.words_per_line);
-        self.blocks.entry(line.0).or_insert_with(|| BlockInfo {
+        self.blocks.entry_or_insert_with(line.0, || BlockInfo {
             words: vec![WordInfo { version: 0, writer: NO_WRITER }; wpl].into_boxed_slice(),
             procs: vec![ProcView { ever_cached: false, lost: Lost::NotLost }; np].into_boxed_slice(),
         })

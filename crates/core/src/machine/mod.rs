@@ -429,8 +429,8 @@ impl Machine {
     /// the checker's final-memory comparison against the reference
     /// sequential interpreter.
     pub fn with_value_tracking(mut self) -> Self {
-        let n = self.cfg.num_procs;
-        self.observers_mut().values = Some(values::ValueTracker::new(n));
+        let (n, words) = (self.cfg.num_procs, self.cfg.words_per_line());
+        self.observers_mut().values = Some(values::ValueTracker::new(n, words));
         self
     }
 

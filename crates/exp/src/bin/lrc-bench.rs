@@ -36,7 +36,11 @@
 //! and the verdict. The point it writes (schema `lrc-bench-v2`) adds the
 //! workload, seconds, seed base, `host_cpus`, each side's commit,
 //! `definition_hash` and failure share (failed ÷ attempted iterations), and
-//! every run's provenance and result lines verbatim.
+//! every run's provenance and result lines verbatim. Beside each side's
+//! commit, `dirty` says whether `git status --porcelain
+//! --untracked-files=no` listed a change in its checkout before the first
+//! run or after the last, since perfbench names the commit `HEAD` and
+//! builds the working tree (`null` when git cannot tell).
 //!
 //! Exit status: 2 on a usage error or an unusable `BENCHMARK.json`; 1 when
 //! a run fails (exits non-zero, prints `"correct": false` or a malformed
@@ -97,6 +101,17 @@ fn die(code: i32, msg: &str) -> ! {
 /// The value, or a usage error (exit 2) reporting the error.
 fn or_usage<T>(r: Result<T, String>) -> T {
     r.unwrap_or_else(|e| die(2, &e))
+}
+
+/// Does checkout `dir` differ from its commit in a tracked file? `None`
+/// when git cannot tell (no git, or not a checkout).
+fn dirty(dir: &str) -> Option<bool> {
+    let out = Command::new("git")
+        .args(["-C", dir, "status", "--porcelain", "--untracked-files=no"])
+        .stderr(Stdio::null())
+        .output()
+        .ok()?;
+    out.status.success().then_some(!out.stdout.is_empty())
 }
 
 fn read_benchmark(dir: &str) -> Result<String, String> {
@@ -253,6 +268,7 @@ fn main() {
         .duration_since(std::time::UNIX_EPOCH)
         .map_or(0, |d| d.as_secs());
 
+    let dirty_before = dirs.each_ref().map(|d| dirty(d));
     let mut runs: Vec<Run> = Vec::new();
     for pair in 0..pairs {
         let seed = base + pair as u64;
@@ -269,6 +285,7 @@ fn main() {
         }
     }
 
+    let dirty_side = |side: usize| Some(dirty_before[side]? | dirty(&dirs[side])?);
     let of_side = |side: usize| runs.iter().filter(move |r| r.side == side);
     let failure_share = |side: usize| {
         let (attempted, failed) =
@@ -278,7 +295,9 @@ fn main() {
     let side_json = |side: usize| {
         let first = of_side(side).next().expect("every side ran at least one pair");
         let (commit, hash, share) = (&first.commit, &first.definition_hash, failure_share(side));
-        json!({ "commit": commit, "definition_hash": hash, "failure_share": share })
+        let dirty = dirty_side(side);
+        json!({ "commit": commit, "dirty": dirty, "definition_hash": hash,
+                "failure_share": share })
     };
 
     let mut table = Table::new(vec![

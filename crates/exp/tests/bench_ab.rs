@@ -7,7 +7,7 @@
 
 use lrc_json::Value;
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
 const BENCHMARK: &str = r#"{
@@ -119,6 +119,46 @@ fn a_change_twice_as_fast_reads_gain_and_the_point_holds_ten_alternated_pairs() 
         // The runs came in this order, each without CARGO_TARGET_DIR.
         assert_eq!(order[k], format!("{side} {} unset", base + pair as u64));
     }
+}
+
+/// Run git in `dir` under a fixed identity, so a commit needs no config.
+fn git(dir: &Path, args: &[&str]) {
+    let out = Command::new("git")
+        .arg("-C")
+        .arg(dir)
+        .args(["-c", "user.name=lab", "-c", "user.email=lab@example.invalid"])
+        .args(args)
+        .output()
+        .expect("git starts");
+    assert!(out.status.success(), "git {args:?}: {}", String::from_utf8_lossy(&out.stderr));
+}
+
+/// perfbench names `HEAD` as the commit of whatever tree it builds, so a
+/// point must say when a side's checkout differed from that commit: both
+/// sides are committed repositories, and the change side carries an
+/// uncommitted edit to a tracked file. A directory that is no checkout at
+/// all reads `null`.
+#[test]
+fn a_checkout_with_an_uncommitted_edit_is_marked_dirty() {
+    let lab = Lab::new("dirty", "", "");
+    for side in ["parent", "change"] {
+        let dir = lab.root.join(side);
+        fs::write(dir.join("notes.txt"), "committed\n").unwrap();
+        git(&dir, &["init", "-q"]);
+        git(&dir, &["add", "."]);
+        git(&dir, &["commit", "-q", "-m", "stub checkout"]);
+    }
+    fs::write(lab.root.join("change").join("notes.txt"), "edited\n").unwrap();
+    let out = lab.ab(&["--pairs", "1"]);
+    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+    let point = lab.point();
+    assert_eq!(point["parent"]["dirty"].as_bool(), Some(false));
+    assert_eq!(point["change"]["dirty"].as_bool(), Some(true));
+    assert_eq!(point["change"]["commit"].as_str(), Some("change"), "the commit is unchanged");
+
+    let plain = Lab::new("plain", "", "");
+    assert_eq!(plain.ab(&["--pairs", "1"]).status.code(), Some(0));
+    assert!(plain.point()["change"]["dirty"].is_null(), "no checkout reads null");
 }
 
 #[test]

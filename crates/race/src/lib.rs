@@ -25,18 +25,23 @@
 //! just touched, private data, lock-protected data between hand-offs) is
 //! a single compare — O(1) with no allocation.
 //!
-//! Everything here is deterministic: word metadata lives in `BTreeMap`s,
-//! races are reported in detection order (which the simulator's
-//! deterministic event order fixes), and only the first race per word is
-//! reported, so reruns of the same program produce bit-identical
-//! [`RaceStats`].
+//! Word metadata is reached in O(1) by word number (the address shifted
+//! down by the word-size bits) through a [`PackedMap`]: an index over the
+//! word range into packed metadata for the words touched so far. Listings,
+//! fingerprints and equality walk that index, so they visit words in
+//! ascending address order whatever order they were touched in.
+//!
+//! Everything here is deterministic: races are reported in detection order
+//! (which the simulator's deterministic event order fixes), and only the
+//! first race per word is reported, so reruns of the same program produce
+//! bit-identical [`RaceStats`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![allow(clippy::new_without_default)]
 
 use lrc_sim::lrc_json::{json_struct, Dec, List, Opt, Plain};
-use lrc_sim::{RaceReport, RaceSite, RaceStats};
+use lrc_sim::{PackedMap, RaceReport, RaceSite, RaceStats};
 use std::collections::BTreeMap;
 use std::hash::{Hash, Hasher};
 
@@ -212,7 +217,8 @@ json_struct!(RaceDetectorState {
 #[derive(Debug, Clone, PartialEq)]
 pub struct RaceDetector {
     num_procs: usize,
-    word_size: u64,
+    /// log2 of the word size in bytes.
+    word_bits: u32,
     /// Per-processor vector clocks.
     clocks: Vec<VectorClock>,
     /// Per-processor program-order reference ordinal (1-based in reports).
@@ -221,8 +227,8 @@ pub struct RaceDetector {
     locks: BTreeMap<u32, VectorClock>,
     /// Per-barrier episode state.
     barriers: BTreeMap<u32, BarrierClock>,
-    /// Per-word metadata, keyed by word-aligned byte address.
-    words: BTreeMap<u64, WordMeta>,
+    /// Per-word metadata, keyed by word number (`addr >> word_bits`).
+    words: PackedMap<WordMeta>,
     /// Counters and reports, folded into `MachineStats` at end of run.
     stats: RaceStats,
 }
@@ -239,7 +245,14 @@ struct BarrierClock {
 
 impl RaceDetector {
     /// A detector for `num_procs` processors and `word_size`-byte words.
+    /// A word size of 0 counts as 1.
+    ///
+    /// # Panics
+    ///
+    /// If `word_size` is not a power of two.
     pub fn new(num_procs: usize, word_size: u64) -> Self {
+        let word_size = word_size.max(1);
+        assert!(word_size.is_power_of_two(), "word size {word_size} is not a power of two");
         // Each processor's own component starts at 1 (the FastTrack
         // convention): clock 0 then unambiguously means "never accessed",
         // so an untouched slot in a read vector can never satisfy the
@@ -253,12 +266,12 @@ impl RaceDetector {
             .collect();
         RaceDetector {
             num_procs,
-            word_size: word_size.max(1),
+            word_bits: word_size.trailing_zeros(),
             clocks,
             refs: vec![0; num_procs],
             locks: BTreeMap::new(),
             barriers: BTreeMap::new(),
-            words: BTreeMap::new(),
+            words: PackedMap::new(),
             stats: RaceStats::default(),
         }
     }
@@ -306,16 +319,14 @@ impl RaceDetector {
     /// Processor `p` reads the word containing byte address `a`.
     pub fn on_read(&mut self, p: usize, a: u64) {
         let site = self.site(p, false);
-        let addr = a / self.word_size * self.word_size;
+        let w = a >> self.word_bits;
+        let addr = w << self.word_bits;
         let clock = &self.clocks[p];
         let stats = &mut self.stats;
-        let word = match self.words.entry(addr) {
-            std::collections::btree_map::Entry::Vacant(e) => {
-                stats.words_monitored += 1;
-                e.insert(WordMeta::new())
-            }
-            std::collections::btree_map::Entry::Occupied(e) => e.into_mut(),
-        };
+        let word = self.words.get_or_insert_with(w, || {
+            stats.words_monitored += 1;
+            WordMeta::new()
+        });
 
         // Same-epoch fast path: this processor already read the word in its
         // current segment, so every check below would re-pass.
@@ -367,16 +378,14 @@ impl RaceDetector {
     /// Processor `p` writes the word containing byte address `a`.
     pub fn on_write(&mut self, p: usize, a: u64) {
         let site = self.site(p, true);
-        let addr = a / self.word_size * self.word_size;
+        let w = a >> self.word_bits;
+        let addr = w << self.word_bits;
         let clock = &self.clocks[p];
         let stats = &mut self.stats;
-        let word = match self.words.entry(addr) {
-            std::collections::btree_map::Entry::Vacant(e) => {
-                stats.words_monitored += 1;
-                e.insert(WordMeta::new())
-            }
-            std::collections::btree_map::Entry::Occupied(e) => e.into_mut(),
-        };
+        let word = self.words.get_or_insert_with(w, || {
+            stats.words_monitored += 1;
+            WordMeta::new()
+        });
 
         // Same-epoch fast path: we already wrote this word in this segment.
         let own = Epoch { proc: p as u32, clock: clock.get(p) };
@@ -466,12 +475,12 @@ impl RaceDetector {
     }
 
     /// Checkpoint the complete detector state as plain data (see
-    /// [`RaceDetectorState`]). Maps flatten to sorted listings, so two
-    /// captures of equal detectors are equal.
+    /// [`RaceDetectorState`]). Tables flatten to listings sorted by key
+    /// (words by address), so two captures of equal detectors are equal.
     pub fn save_state(&self) -> RaceDetectorState {
         RaceDetectorState {
             num_procs: self.num_procs,
-            word_size: self.word_size,
+            word_size: 1 << self.word_bits,
             clocks: self.clocks.iter().map(|c| c.components().to_vec()).collect(),
             refs: self.refs.clone(),
             locks: self
@@ -492,8 +501,8 @@ impl RaceDetector {
             words: self
                 .words
                 .iter()
-                .map(|(&addr, w)| WordState {
-                    addr,
+                .map(|(w_num, w)| WordState {
+                    addr: w_num << self.word_bits,
                     write: w.write.map(|(e, s)| (e.proc, e.clock, s)),
                     read: match &w.read {
                         ReadMeta::None => ReadState::None,
@@ -509,7 +518,12 @@ impl RaceDetector {
 
     /// Rebuild a detector from a checkpoint taken by
     /// [`RaceDetector::save_state`]. Fails with a description when any
-    /// vector length disagrees with `num_procs`.
+    /// vector length disagrees with `num_procs`, the word size is not a
+    /// power of two, or a word address is not a multiple of it.
+    ///
+    /// The word table is indexed by word number, so the largest address
+    /// sizes its index: a caller restoring untrusted input bounds the
+    /// addresses first.
     pub fn from_state(st: RaceDetectorState) -> Result<RaceDetector, String> {
         let n = st.num_procs;
         let vc = |c: Vec<u64>, what: &str| -> Result<VectorClock, String> {
@@ -525,7 +539,15 @@ impl RaceDetector {
                 st.refs.len()
             ));
         }
-        let mut d = RaceDetector::new(n, st.word_size);
+        let word_size = st.word_size.max(1);
+        if !word_size.is_power_of_two() {
+            return Err(format!("word size {word_size} is not a power of two"));
+        }
+        if let Some(w) = st.words.iter().find(|w| w.addr % word_size != 0) {
+            let addr = w.addr;
+            return Err(format!("word {addr:#x} is not a multiple of the word size {word_size}"));
+        }
+        let mut d = RaceDetector::new(n, word_size);
         d.clocks = st
             .clocks
             .into_iter()
@@ -551,30 +573,24 @@ impl RaceDetector {
                 ))
             })
             .collect::<Result<_, String>>()?;
-        d.words = st
-            .words
-            .into_iter()
-            .map(|w| {
-                let read = match w.read {
-                    ReadState::None => ReadMeta::None,
-                    ReadState::Epoch(proc, clock, s) => {
-                        ReadMeta::Epoch(Epoch { proc, clock }, s)
+        for w in st.words {
+            let read = match w.read {
+                ReadState::None => ReadMeta::None,
+                ReadState::Epoch(proc, clock, s) => ReadMeta::Epoch(Epoch { proc, clock }, s),
+                ReadState::Vector(c, s) => {
+                    if c.len() != n || s.len() != n {
+                        return Err(format!(
+                            "word {:#x}: read vector has {} entries, expected {n}",
+                            w.addr,
+                            c.len()
+                        ));
                     }
-                    ReadState::Vector(c, s) => {
-                        if c.len() != n || s.len() != n {
-                            return Err(format!(
-                                "word {:#x}: read vector has {} entries, expected {n}",
-                                w.addr,
-                                c.len()
-                            ));
-                        }
-                        ReadMeta::Vector(c, s)
-                    }
-                };
-                let write = w.write.map(|(proc, clock, s)| (Epoch { proc, clock }, s));
-                Ok((w.addr, WordMeta { write, read, racy: w.racy }))
-            })
-            .collect::<Result<_, String>>()?;
+                    ReadMeta::Vector(c, s)
+                }
+            };
+            let write = w.write.map(|(proc, clock, s)| (Epoch { proc, clock }, s));
+            d.words.insert(w.addr >> d.word_bits, WordMeta { write, read, racy: w.racy });
+        }
         d.stats = st.stats;
         Ok(d)
     }
@@ -582,7 +598,8 @@ impl RaceDetector {
     /// Fold the detector's state into a hasher (model-checker fingerprint
     /// support). Two machine states that differ only in detector state must
     /// not be merged by pruning, or races could go unreported on some
-    /// interleavings. All maps are `BTreeMap`s, so iteration is ordered.
+    /// interleavings. Every table iterates in key order (words by address),
+    /// so equal detectors fold equal sequences.
     pub fn hash_into<H: Hasher>(&self, h: &mut H) {
         self.clocks.hash(h);
         self.refs.hash(h);
@@ -596,8 +613,8 @@ impl RaceDetector {
             bar.arrivals.hash(h);
             bar.completed.hash(h);
         }
-        for (addr, w) in &self.words {
-            addr.hash(h);
+        for (w_num, w) in self.words.iter() {
+            (w_num << self.word_bits).hash(h);
             w.racy.hash(h);
             if let Some((e, s)) = &w.write {
                 e.proc.hash(h);
@@ -808,13 +825,44 @@ mod tests {
 
     #[test]
     fn restore_rejects_malformed_shapes() {
-        let d = det(2);
+        let mut d = det(2);
+        d.on_write(0, 0x40);
         let mut st = d.save_state();
         st.clocks[0].push(9); // wrong component count
         assert!(RaceDetector::from_state(st).is_err());
         let mut st = d.save_state();
         st.refs.pop();
         assert!(RaceDetector::from_state(st).is_err());
+        let mut st = d.save_state();
+        st.word_size = 6;
+        assert!(RaceDetector::from_state(st).is_err());
+        let mut st = d.save_state();
+        st.words[0].addr = 0x41; // off its word boundary
+        assert!(RaceDetector::from_state(st).is_err());
+    }
+
+    /// Words list, compare and fold in address order whatever order they
+    /// were first touched in, so a restored detector equals the live one.
+    #[test]
+    fn words_are_ordered_by_address_not_by_first_touch() {
+        let (mut down, mut up) = (det(3), det(3));
+        for (p, a) in [(0, 0x80), (1, 0x44), (2, 0x40)] {
+            down.on_write(p, a);
+        }
+        for (p, a) in [(2, 0x40), (1, 0x44), (0, 0x80)] {
+            up.on_write(p, a);
+        }
+        let addrs: Vec<u64> = down.save_state().words.iter().map(|w| w.addr).collect();
+        assert_eq!(addrs, [0x40, 0x44, 0x80]);
+        assert_eq!(down, up);
+        assert_eq!(down.save_state(), up.save_state());
+        let fp = |d: &RaceDetector| {
+            let mut h = lrc_sim::FoldHasher::default();
+            d.hash_into(&mut h);
+            h.finish()
+        };
+        assert_eq!(fp(&down), fp(&up));
+        assert_eq!(RaceDetector::from_state(down.save_state()).expect("restore"), up);
     }
 
     #[test]

@@ -19,6 +19,9 @@
 #             release: 48 explorations, each held to its pinned state,
 #             terminal and depth counts and its terminal-outcome digest,
 #             with every revisit audited and the push order reversed
+#   mutation sweep — the snapshot decoder's ignored long sweep in
+#             release: 3,000 seeded mutants of snapshots that carry the
+#             race detector's and the value tracker's tables
 #   perfbench — the benchmark crate (its own workspace) builds against the
 #             changed crates and its tests pass
 #   bench A/B — lrc-bench ab runs the benchmark's own command on both
@@ -83,6 +86,13 @@ echo "==> checker sweep: pinned counts and outcomes, congruence audit, reversed 
 # children are pushed (the reversed walk). The debug tier above runs the
 # same guards on the explorations pinned below 5,000 states.
 cargo test -p lrc-check --release --offline -- --ignored
+
+echo "==> mutation sweep: 3,000 mutants of snapshots with both trackers armed"
+# Tier 1 runs 300 mutants; this runs ten times as many, of three snapshots
+# whose race words, home image and unflushed records index dense tables.
+# Every mutant must restore or fail with a typed SnapshotError: a panic,
+# or a key past the address space sizing a table, fails the stage.
+cargo test --release --offline --test snapshot_restore -- --ignored
 
 echo "==> perfbench: build and test the benchmark crate"
 # perfbench calls the crates' public APIs by path (MachineSnapshot's

@@ -356,21 +356,23 @@ fn invalid_config_is_a_typed_corruption_error() {
     }
 }
 
-/// A line or page key past the workload's address space, or a consumed-op
-/// count past a processor's `Done`, is corrupt. Restore must say so
-/// rather than size a dense line table to the key, or call `next_op`
+/// A line, page or word key past the workload's address space, a race word
+/// address off its word boundary, a value-tracker word past its line, or a
+/// consumed-op count past a processor's `Done`, is corrupt. Restore must
+/// say so rather than size a dense table to the key, or call `next_op`
 /// that many times; so each edit below names its table in a `Corrupt`.
 #[test]
 fn keys_and_op_counts_past_the_workload_are_typed_corruption_errors() {
     let mut cfg = MachineConfig::paper_default(PROCS);
     cfg.placement = Placement::FirstTouch;
     let (line_size, page_size) = (cfg.line_size as u64, cfg.page_size as u64);
+    let (word_size, words_per_line) = (cfg.word_size as u64, cfg.words_per_line());
     // Capture just after the first processor finishes, while others run.
     let r = Machine::new(cfg.clone(), Protocol::Lrc).try_run(workload()).expect("run completes");
     let finishes = r.stats.procs.iter().map(|p| p.finish_time);
     let (done, at) = finishes.enumerate().min_by_key(|&(_, t)| t).expect("processors");
     assert!(at < r.stats.total_cycles, "processor {done} must finish before the run ends");
-    let mut m = Machine::new(cfg, Protocol::Lrc);
+    let mut m = Machine::new(cfg, Protocol::Lrc).with_value_tracking().with_race_detection();
     m.start_run(workload());
     assert!(m.run_until(at + 1).expect("no stall"), "still running at {}", at + 1);
     let doc = lrc_json::parse(&m.snapshot().expect("capture").to_json_string()).expect("JSON");
@@ -382,30 +384,72 @@ fn keys_and_op_counts_past_the_workload_are_typed_corruption_errors() {
             _ => panic!("{table} must have a row to edit"),
         }
     }
+    /// The first row of `section`'s `table`.
+    fn row<'a>(v: &'a mut lrc_json::Value, section: &str, table: &str) -> &'a mut lrc_json::Value {
+        first_row(member_mut(v, section), table)
+    }
     let decimal = |n: u64| lrc_json::Value::Str(n.to_string());
     let unedited = MachineSnapshot::parse(&doc.dump()).expect("parses");
     assert!(unedited.restore(workload()).is_ok(), "the unedited capture restores");
-    for table in ["dir", "page_home", "ops_consumed"] {
+    let lines = space.div_ceil(line_size);
+    // Each edit, and the table its error must name.
+    let edits = [
+        ("dir line", "dir"),
+        ("page", "page_home"),
+        ("op count", "ops_consumed"),
+        ("race word", "race.words"),
+        ("misaligned race word", "race: word"),
+        ("home line", "values.home"),
+        ("home word", "values.home"),
+        ("unflushed line", "values.unflushed"),
+    ];
+    for (edit, table) in edits {
         let mut v = doc.clone();
-        match table {
+        match edit {
             // The first line, and the first page, past the address space.
-            "dir" => first_row(&mut v, "dir").set("line", decimal(space.div_ceil(line_size))),
-            "page_home" => match first_row(&mut v, "page_home") {
+            "dir line" => first_row(&mut v, "dir").set("line", decimal(lines)),
+            "page" => match first_row(&mut v, "page_home") {
                 lrc_json::Value::Array(pair) => pair[0] = decimal(space.div_ceil(page_size)),
                 other => panic!("page_home rows are [page, home] pairs: {other:?}"),
             },
             // One op more than the finished processor consumed.
-            _ => {
+            "op count" => {
                 let counts = member_mut(member_mut(&mut v, "workload"), "ops_consumed");
                 let lrc_json::Value::Array(counts) = counts else { panic!("a list of counts") };
                 let lrc_json::Value::Str(n) = &counts[done] else { panic!("decimal counts") };
                 counts[done] = decimal(n.parse::<u64>().expect("a decimal count") + 1);
             }
+            // The first word past the address space, and a word address
+            // one byte past its word boundary.
+            "race word" => {
+                row(&mut v, "race", "words").set("addr", decimal(space.next_multiple_of(word_size)))
+            }
+            "misaligned race word" => {
+                let word = row(&mut v, "race", "words");
+                let addr = word["addr"].as_str().and_then(|a| a.parse::<u64>().ok());
+                word.set("addr", decimal(addr.expect("a decimal address") + 1));
+            }
+            // The value tracker's first line past the address space, and
+            // its first word past the end of a line. No write is unflushed
+            // at this capture, so one is added.
+            "unflushed line" => {
+                let unflushed = member_mut(member_mut(&mut v, "values"), "unflushed");
+                let lrc_json::Value::Array(rows) = unflushed else { panic!("a list of rows") };
+                let row = format!(r#"{{"proc": 0, "line": "{lines}", "words": [[0, 0, "1"]]}}"#);
+                rows.push(lrc_json::parse(&row).expect("a row"));
+            }
+            _ => match row(&mut v, "values", "home") {
+                lrc_json::Value::Array(home) if edit == "home line" => home[0] = decimal(lines),
+                lrc_json::Value::Array(home) => {
+                    home[1] = lrc_json::Value::Num(words_per_line as f64)
+                }
+                other => panic!("home rows are [line, word, proc, seq]: {other:?}"),
+            },
         }
         let snap = MachineSnapshot::parse(&v.dump()).expect("still a well-formed snapshot");
         match snap.restore(workload()) {
-            Err(SnapshotError::Corrupt(msg)) => assert!(msg.contains(table), "{table}: {msg}"),
-            other => panic!("{table}: expected Corrupt, got {:?}", other.map(|_| ())),
+            Err(SnapshotError::Corrupt(msg)) => assert!(msg.contains(table), "{edit}: {msg}"),
+            other => panic!("{edit}: expected Corrupt, got {:?}", other.map(|_| ())),
         }
     }
 }
@@ -545,26 +589,60 @@ fn collect_targets(v: &lrc_json::Value, path: &mut JsonPath, t: &mut Targets) {
 /// queue.
 #[test]
 fn mutated_snapshots_restore_or_fail_typed() {
+    let texts = [
+        small_snapshot(Protocol::Lrc, chaos_plan(), 3_000, true),
+        small_snapshot(Protocol::Erc, early_crash_plan(), 8_000, false),
+    ];
+    mutation_sweep(&texts, 300, 0x5EED_F00D);
+}
+
+/// The longer sweep: 3,000 mutants of three snapshots that all carry the
+/// race detector's word table and the value tracker's home image and
+/// unflushed records (release build; `scripts/ci.sh` runs it).
+#[test]
+#[ignore = "long sweep: run in release with --ignored"]
+fn many_mutated_tracker_snapshots_restore_or_fail_typed() {
+    let texts = [
+        small_snapshot(Protocol::Lrc, chaos_plan(), 3_000, true),
+        small_snapshot(Protocol::Sc, FaultPlan::off(0), 6_000, true),
+        small_snapshot(Protocol::Erc, FaultPlan::off(0), 8_000, true),
+    ];
+    for text in &texts {
+        let doc = lrc_json::parse(text).expect("valid");
+        for (section, table) in [("race", "words"), ("values", "home"), ("values", "unflushed")] {
+            let rows = doc[section][table].as_array().map_or(0, |rows| rows.len());
+            assert!(rows > 0, "{section}.{table} must have rows to mutate");
+        }
+    }
+    mutation_sweep(&texts, 3_000, 0x0DD_5EED);
+}
+
+/// The snapshot text of a bounded-resource 4-processor mp3d/tiny run under
+/// `plan`, paused at `at`, with value tracking and race detection armed
+/// when `tracked`.
+fn small_snapshot(proto: Protocol, plan: FaultPlan, at: u64, tracked: bool) -> String {
+    let mut cfg = MachineConfig::paper_default(MUTATED_PROCS);
+    cfg.resources.ni_ingress = Some(2);
+    cfg.resources.write_notice_buffer = Some(4);
+    let mut m = Machine::new(cfg, proto).with_fault_plan(plan);
+    if tracked {
+        m = m.with_value_tracking().with_race_detection();
+    }
+    m.start_run(WorkloadKind::Mp3d.build(MUTATED_PROCS, Scale::Tiny));
+    assert!(m.run_until(at).expect("no stall"), "still running at {at}");
+    m.snapshot().expect("mid-run capture").to_json_string()
+}
+
+/// Processors of the mutated snapshots' machines.
+const MUTATED_PROCS: usize = 4;
+
+/// Parse and restore `mutants` seeded mutants of `texts` (see
+/// [`mutated_snapshots_restore_or_fail_typed`]): none may panic, and some
+/// must restore while others are rejected.
+fn mutation_sweep(texts: &[String], mutants: usize, seed: u64) {
     use lazy_rc::sim::Rng;
     use lrc_json::Value;
-    const NP: usize = 4;
-    const MUTANTS: usize = 300;
-    let small = |proto: Protocol, plan: FaultPlan, at: u64| {
-        let mut cfg = MachineConfig::paper_default(NP);
-        cfg.resources.ni_ingress = Some(2);
-        cfg.resources.write_notice_buffer = Some(4);
-        let mut m = Machine::new(cfg, proto).with_fault_plan(plan);
-        if at < 8_000 {
-            m = m.with_value_tracking().with_race_detection();
-        }
-        m.start_run(WorkloadKind::Mp3d.build(NP, Scale::Tiny));
-        assert!(m.run_until(at).expect("no stall"), "still running at {at}");
-        m.snapshot().expect("mid-run capture").to_json_string()
-    };
-    let texts = [
-        small(Protocol::Lrc, chaos_plan(), 3_000),
-        small(Protocol::Erc, early_crash_plan(), 8_000),
-    ];
+    const NP: usize = MUTATED_PROCS;
     let docs: Vec<Value> = texts.iter().map(|t| lrc_json::parse(t).expect("valid")).collect();
     let sections: Vec<Vec<Targets>> = docs
         .iter()
@@ -580,10 +658,10 @@ fn mutated_snapshots_restore_or_fail_typed() {
         })
         .collect();
 
-    let mut rng = Rng::new(0x5EED_F00D);
+    let mut rng = Rng::new(seed);
     let (mut restored, mut rejected, mut panicked) = (0, 0, Vec::new());
-    for n in 0..MUTANTS {
-        let d = rng.below(2) as usize;
+    for n in 0..mutants {
+        let d = rng.below(texts.len() as u64) as usize;
         let kind = rng.below(5);
         let (what, text) = if kind == 0 {
             let cut = rng.below(texts[d].len() as u64) as usize;
