@@ -774,12 +774,19 @@ impl MachineSnapshot {
             }
             for r in &vr.unflushed {
                 in_space("values.unflushed", r.line, lines)?;
-                r.words.iter().try_for_each(|&(w, _, _)| in_line("values.unflushed", w))?;
+                for &(w, writer, _) in &r.words {
+                    in_line("values.unflushed", w)?;
+                    if writer != r.proc {
+                        let (p, line) = (r.proc, r.line);
+                        let why = format!("proc {p}'s line {line} holds proc {writer}'s store");
+                        return Err(corrupt(format!("values.unflushed: {why}")));
+                    }
+                }
             }
             let home = vr.home.into_iter().map(|(l, w, proc, seq)| (l, w, WriteId { proc, seq }));
             let unflushed = vr.unflushed.into_iter().flat_map(|r| {
                 let words = r.words.into_iter();
-                words.map(move |(w, proc, seq)| (r.proc, r.line, w, WriteId { proc, seq }))
+                words.map(move |(w, _, seq)| (r.proc, r.line, w, seq))
             });
             let vt = ValueTracker::from_parts(vr.seq, words, home, unflushed);
             m.observers_mut().values = Some(vt);

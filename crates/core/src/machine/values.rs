@@ -28,14 +28,14 @@
 //! at quiescence — two holders are reported as a conflict.
 //!
 //! Both run on every store and flush, so both are indexed, not searched:
-//! the home image is a [`PackedMap`] keyed by word number (`line << log2
-//! words-per-line | word`), and a [`SlotIndex`] over `line << log2 procs |
-//! proc` finds each processor's unflushed record of a line. Every listing
+//! the home image is a [`LineMap`] keyed by word number (`line << log2
+//! words-per-line | word`), and the unflushed words one [`LineMap`] of
+//! fixed-width records keyed by `line << log2 procs | proc`. Every listing
 //! walks those indexes, so it comes out in ascending `(line, word)` order,
 //! or `(proc, line, word)` for unflushed words, with no sort.
 
 use lrc_sim::refint::WriteId;
-use lrc_sim::{PackedMap, ProcId, SlotIndex};
+use lrc_sim::{LineMap, ProcId};
 use std::collections::BTreeMap;
 
 /// Final symbolic memory image: `(line, word) → last writer`.
@@ -50,33 +50,24 @@ pub(crate) struct ValueTracker {
     word_bits: u32,
     /// Last writer of each word, as committed at its home, keyed by
     /// `line << word_bits | word`.
-    home: PackedMap<WriteId>,
-    /// Written-but-unflushed words.
-    unflushed: Unflushed,
+    home: LineMap<WriteId>,
+    /// log2 of the processor count, rounded up.
+    proc_bits: u32,
+    /// Written-but-unflushed words of each (processor, line), keyed by
+    /// `line << proc_bits | proc`.
+    unflushed: LineMap<Rec>,
+    /// One past the largest line in `unflushed` since it was last empty:
+    /// the range a `(proc, line)` walk scans.
+    lines: u64,
 }
 
-/// Written-but-unflushed words, one record per (processor, line): a mask of
-/// the words written and one id per word of the line. Records sit packed in
-/// slots; one [`SlotIndex`] over `line << proc_bits | proc` finds a
-/// record's slot, and a record whose last word flushes gives its slot to
-/// the last.
+/// One processor's unflushed words of one line: a mask of the words
+/// written, and where set, the sequence number of the word's latest write
+/// (the processor is in the record's key).
 #[derive(Debug, Clone)]
-struct Unflushed {
-    /// `line << proc_bits | proc` → record slot.
-    index: SlotIndex,
-    /// Bits of the index key that hold the processor.
-    proc_bits: u32,
-    num_procs: usize,
-    /// One past the largest line recorded since the table was last empty:
-    /// the range a walk scans.
-    lines: u64,
-    /// Per slot: the record's `(proc, line, mask)`.
-    recs: Vec<(ProcId, u64, u64)>,
-    /// Per slot, one id per word of the line, valid where the mask is set:
-    /// word `w` of slot `s` is at `s * words + w`.
-    ids: Vec<WriteId>,
-    /// Words per line.
-    words: usize,
+struct Rec {
+    mask: u64,
+    seqs: [u64; 64],
 }
 
 /// The word indices set in `mask`, ascending.
@@ -88,90 +79,6 @@ fn words_in(mut mask: u64) -> impl Iterator<Item = usize> {
     })
 }
 
-impl Unflushed {
-    fn new(num_procs: usize, words: usize) -> Self {
-        Unflushed {
-            index: SlotIndex::new(),
-            proc_bits: num_procs.next_power_of_two().trailing_zeros(),
-            num_procs,
-            lines: 0,
-            recs: Vec::new(),
-            ids: Vec::new(),
-            words,
-        }
-    }
-
-    #[inline]
-    fn key(&self, p: ProcId, line: u64) -> u64 {
-        (line << self.proc_bits) | p as u64
-    }
-
-    /// Processor `p`'s latest unflushed store to `word` of `line` is `id`.
-    #[inline]
-    fn write(&mut self, p: ProcId, line: u64, word: usize, id: WriteId) {
-        let key = self.key(p, line);
-        let s = match self.index.get(key) {
-            Some(s) => s as usize,
-            None => {
-                let s = self.recs.len();
-                self.index.set(key, s as u32);
-                self.recs.push((p, line, 0));
-                self.ids.resize(self.ids.len() + self.words, id);
-                self.lines = self.lines.max(line + 1);
-                s
-            }
-        };
-        self.recs[s].2 |= 1 << word;
-        self.ids[s * self.words + word] = id;
-    }
-
-    /// Remove processor `p`'s unflushed words of `line` in `mask`, handing
-    /// each to `flushed` in ascending word order.
-    #[inline]
-    fn take(&mut self, p: ProcId, line: u64, mask: u64, mut flushed: impl FnMut(usize, WriteId)) {
-        let key = self.key(p, line);
-        let Some(s) = self.index.get(key) else {
-            return;
-        };
-        let (s, words) = (s as usize, self.words);
-        let held = self.recs[s].2;
-        for w in words_in(held & mask) {
-            flushed(w, self.ids[s * words + w]);
-        }
-        self.recs[s].2 = held & !mask;
-        if self.recs[s].2 == 0 {
-            self.index.unset(key);
-            let last = self.recs.len() - 1;
-            if s != last {
-                let (lp, lline, _) = self.recs[last];
-                self.index.set(self.key(lp, lline), s as u32);
-                self.ids.copy_within(last * words.., s * words);
-            }
-            self.recs.swap_remove(s);
-            self.ids.truncate(last * words);
-            if last == 0 {
-                // Empty: a clone (the model checker's, per state) then
-                // copies nothing, and a walk scans nothing.
-                self.index.clear();
-                self.lines = 0;
-            }
-        }
-    }
-
-    /// Every record in `(proc, line)` order, with its words in ascending
-    /// order.
-    fn rows(
-        &self,
-    ) -> impl Iterator<Item = (ProcId, u64, impl Iterator<Item = (usize, WriteId)> + '_)> + '_ {
-        let keys = (0..self.num_procs).flat_map(move |p| (0..self.lines).map(move |l| (p, l)));
-        keys.filter_map(move |(p, line)| {
-            let s = self.index.get(self.key(p, line))? as usize;
-            let ids = &self.ids[s * self.words..][..self.words];
-            Some((p, line, words_in(self.recs[s].2).map(move |w| (w, ids[w]))))
-        })
-    }
-}
-
 impl ValueTracker {
     /// A tracker for `num_procs` processors and lines of `words_per_line`
     /// words (a power of two, at most 64). Its tables start empty and grow
@@ -181,24 +88,54 @@ impl ValueTracker {
         ValueTracker {
             seq: vec![0; num_procs],
             word_bits: words_per_line.trailing_zeros(),
-            home: PackedMap::new(),
-            unflushed: Unflushed::new(num_procs, words_per_line),
+            home: LineMap::new(),
+            proc_bits: num_procs.next_power_of_two().trailing_zeros(),
+            unflushed: LineMap::new(),
+            lines: 0,
         }
+    }
+
+    #[inline]
+    fn key(&self, p: ProcId, line: u64) -> u64 {
+        (line << self.proc_bits) | p as u64
+    }
+
+    /// Processor `p`'s latest unflushed store to `word` of `line` is its
+    /// `seq`-th.
+    #[inline]
+    fn record(&mut self, p: ProcId, line: u64, word: usize, seq: u64) {
+        let key = self.key(p, line);
+        let rec = self.unflushed.entry_or_insert_with(key, || Rec { mask: 0, seqs: [0; 64] });
+        rec.mask |= 1 << word;
+        rec.seqs[word] = seq;
+        self.lines = self.lines.max(line + 1);
     }
 
     /// Processor `p` issues its next store to `(line, word)`.
     pub(crate) fn on_write(&mut self, p: ProcId, line: u64, word: usize) {
         self.seq[p] += 1;
-        let id = WriteId { proc: p, seq: self.seq[p] };
-        self.unflushed.write(p, line, word, id);
+        self.record(p, line, word, self.seq[p]);
     }
 
     /// Processor `p` flushes the words in `mask` of `line` toward home.
     /// Words with no unflushed id (already flushed by an earlier path, e.g.
     /// a coalescing-buffer drain racing an eviction) are ignored.
     pub(crate) fn on_flush(&mut self, p: ProcId, line: u64, mask: u64) {
-        let (home, bits) = (&mut self.home, self.word_bits);
-        self.unflushed.take(p, line, mask, |w, id| home.insert((line << bits) | w as u64, id));
+        let key = self.key(p, line);
+        let Some(rec) = self.unflushed.get_mut(key) else {
+            return;
+        };
+        for w in words_in(rec.mask & mask) {
+            let id = WriteId { proc: p, seq: rec.seqs[w] };
+            self.home.insert((line << self.word_bits) | w as u64, id);
+        }
+        rec.mask &= !mask;
+        if rec.mask == 0 {
+            self.unflushed.remove(key);
+            if self.unflushed.is_empty() {
+                self.lines = 0;
+            }
+        }
     }
 
     /// The home image as `(line, word, id)`, in ascending `(line, word)`
@@ -208,6 +145,19 @@ impl ValueTracker {
         self.home.iter().map(move |(k, &id)| (k >> self.word_bits, (k & low) as usize, id))
     }
 
+    /// Every unflushed record in `(proc, line)` order, with its words in
+    /// ascending order.
+    fn unflushed_rows(
+        &self,
+    ) -> impl Iterator<Item = (ProcId, u64, impl Iterator<Item = (usize, WriteId)> + '_)> + '_ {
+        let keys = (0..self.seq.len()).flat_map(move |p| (0..self.lines).map(move |l| (p, l)));
+        keys.filter_map(move |(p, line)| {
+            let rec = self.unflushed.get(self.key(p, line))?;
+            let ids = words_in(rec.mask).map(move |w| (w, WriteId { proc: p, seq: rec.seqs[w] }));
+            Some((p, line, ids))
+        })
+    }
+
     /// The final symbolic memory: home overlaid with unflushed words.
     /// Returns the memory plus every `(line, word)` two nodes both held
     /// unflushed — nonempty only for racy programs.
@@ -215,7 +165,7 @@ impl ValueTracker {
         let mut mem: SymbolicMemory = self.home_rows().map(|(l, w, id)| ((l, w), id)).collect();
         let mut owner: BTreeMap<(u64, usize), ProcId> = BTreeMap::new();
         let mut conflicts = Vec::new();
-        for (p, line, words) in self.unflushed.rows() {
+        for (p, line, words) in self.unflushed_rows() {
             for (w, id) in words {
                 if let Some(&prev) = owner.get(&(line, w)) {
                     if prev != p {
@@ -242,27 +192,28 @@ impl ValueTracker {
         impl Iterator<Item = (u64, usize, WriteId)> + '_,
         impl Iterator<Item = (ProcId, u64, impl Iterator<Item = (usize, WriteId)> + '_)> + '_,
     ) {
-        (&self.seq, self.home_rows(), self.unflushed.rows())
+        (&self.seq, self.home_rows(), self.unflushed_rows())
     }
 
     /// Rebuild a tracker from checkpointed parts: `home` rows are `(line,
-    /// word, id)` and `unflushed` rows `(proc, line, word, id)`, and a later
-    /// row for a word replaces an earlier one. Lines size the indexes and
-    /// procs index `seq`, so a caller restoring untrusted input bounds them
-    /// first, and every word must lie below `words_per_line`.
+    /// word, id)` and `unflushed` rows `(proc, line, word, seq)`, and a
+    /// later row for a word replaces an earlier one. Lines size the indexes
+    /// and procs must lie below `seq.len()`, so a caller restoring
+    /// untrusted input bounds them first, and every word must lie below
+    /// `words_per_line`.
     pub(crate) fn from_parts(
         seq: Vec<u64>,
         words_per_line: usize,
         home: impl Iterator<Item = (u64, usize, WriteId)>,
-        unflushed: impl Iterator<Item = (ProcId, u64, usize, WriteId)>,
+        unflushed: impl Iterator<Item = (ProcId, u64, usize, u64)>,
     ) -> Self {
         let mut vt = ValueTracker::new(seq.len(), words_per_line);
         vt.seq = seq;
         for (line, w, id) in home {
             vt.home.insert((line << vt.word_bits) | w as u64, id);
         }
-        for (p, line, w, id) in unflushed {
-            vt.unflushed.write(p, line, w, id);
+        for (p, line, w, seq) in unflushed {
+            vt.record(p, line, w, seq);
         }
         vt
     }
@@ -276,7 +227,7 @@ impl ValueTracker {
         for (line, w, id) in self.home_rows() {
             ((line, w), id).hash(h);
         }
-        for (p, line, words) in self.unflushed.rows() {
+        for (p, line, words) in self.unflushed_rows() {
             (p, line).hash(h);
             for (w, id) in words {
                 (w, id).hash(h);
@@ -290,7 +241,7 @@ mod tests {
     use super::*;
 
     fn is_empty(v: &ValueTracker) -> bool {
-        v.unflushed.rows().next().is_none()
+        v.unflushed.is_empty()
     }
 
     #[test]
@@ -370,14 +321,15 @@ mod tests {
         assert_eq!(seq, [3, 3]);
         assert_eq!(home, [(4, 0, id(0, 2)), (4, 2, id(0, 1)), (9, 63, id(1, 1))]);
         assert_eq!(unflushed, [(0, 3, 5, id(0, 3)), (1, 2, 0, id(1, 2)), (1, 9, 1, id(1, 3))]);
-        assert_eq!(v.unflushed.recs.len(), 3, "line 4's record left no slot behind");
+        assert_eq!(v.unflushed.len(), 3, "line 4's record left no slot behind");
 
         let fp = |v: &ValueTracker| {
             let mut h = lrc_sim::FoldHasher::default();
             v.hash_into(&mut h);
             std::hash::Hasher::finish(&h)
         };
-        let back = ValueTracker::from_parts(seq, 64, home.into_iter(), unflushed.into_iter());
+        let unflushed = unflushed.into_iter().map(|(p, l, w, id)| (p, l, w, id.seq));
+        let back = ValueTracker::from_parts(seq, 64, home.into_iter(), unflushed);
         assert_eq!(back.final_memory(), v.final_memory());
         assert_eq!(fp(&back), fp(&v));
     }

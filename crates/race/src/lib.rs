@@ -26,10 +26,10 @@
 //! a single compare — O(1) with no allocation.
 //!
 //! Word metadata is reached in O(1) by word number (the address shifted
-//! down by the word-size bits) through a [`PackedMap`]: an index over the
-//! word range into packed metadata for the words touched so far. Listings,
-//! fingerprints and equality walk that index, so they visit words in
-//! ascending address order whatever order they were touched in.
+//! down by the word-size bits) through a [`LineMap`]: a 4-byte slot per
+//! word of range into packed metadata for the words touched so far.
+//! Listings, fingerprints and equality walk that index, so they visit words
+//! in ascending address order whatever order they were touched in.
 //!
 //! Everything here is deterministic: races are reported in detection order
 //! (which the simulator's deterministic event order fixes), and only the
@@ -41,7 +41,7 @@
 #![allow(clippy::new_without_default)]
 
 use lrc_sim::lrc_json::{json_struct, Dec, List, Opt, Plain};
-use lrc_sim::{PackedMap, RaceReport, RaceSite, RaceStats};
+use lrc_sim::{LineMap, RaceReport, RaceSite, RaceStats};
 use std::collections::BTreeMap;
 use std::hash::{Hash, Hasher};
 
@@ -228,7 +228,7 @@ pub struct RaceDetector {
     /// Per-barrier episode state.
     barriers: BTreeMap<u32, BarrierClock>,
     /// Per-word metadata, keyed by word number (`addr >> word_bits`).
-    words: PackedMap<WordMeta>,
+    words: LineMap<WordMeta>,
     /// Counters and reports, folded into `MachineStats` at end of run.
     stats: RaceStats,
 }
@@ -271,7 +271,7 @@ impl RaceDetector {
             refs: vec![0; num_procs],
             locks: BTreeMap::new(),
             barriers: BTreeMap::new(),
-            words: PackedMap::new(),
+            words: LineMap::new(),
             stats: RaceStats::default(),
         }
     }
@@ -323,7 +323,7 @@ impl RaceDetector {
         let addr = w << self.word_bits;
         let clock = &self.clocks[p];
         let stats = &mut self.stats;
-        let word = self.words.get_or_insert_with(w, || {
+        let word = self.words.entry_or_insert_with(w, || {
             stats.words_monitored += 1;
             WordMeta::new()
         });
@@ -382,7 +382,7 @@ impl RaceDetector {
         let addr = w << self.word_bits;
         let clock = &self.clocks[p];
         let stats = &mut self.stats;
-        let word = self.words.get_or_insert_with(w, || {
+        let word = self.words.entry_or_insert_with(w, || {
             stats.words_monitored += 1;
             WordMeta::new()
         });

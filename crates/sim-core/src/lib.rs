@@ -36,9 +36,6 @@ pub use stats::{
     Traffic, TrafficClass,
 };
 pub use watchdog::{StallDiagnosis, StallReason, StalledProc};
-pub use table::{
-    FoldHasher, FxBuildHasher, FxHashMap, FxHashSet, FxHasher, LineMap, MultisetHash, PackedMap,
-    SlotIndex,
-};
+pub use table::{FoldHasher, FxBuildHasher, FxHashMap, FxHashSet, FxHasher, LineMap, MultisetHash};
 pub use types::{Addr, BarrierId, Cycle, LineAddr, LockId, NodeId, ProcId, Protocol};
 pub use workload::{AddressAllocator, Op, Script, Workload};

@@ -3,17 +3,15 @@
 //! The simulator keys almost all protocol metadata by line address, and line
 //! addresses are dense small integers (workload allocators hand out compact
 //! address spaces starting at zero, and `LineAddr` is the byte address
-//! shifted down by the line-size bits). Three structures exploit that:
+//! shifted down by the line-size bits). Two structures exploit that:
 //!
-//! * [`LineMap`] — a `Vec`-indexed slab for tables where most lines
-//!   eventually get an entry (the directory). O(1) access with no hashing
-//!   at all, and iteration is in ascending key order for free, which the
-//!   deterministic fingerprint/diagnostic paths rely on.
-//! * [`PackedMap`] — a [`SlotIndex`] of slot numbers into a packed `Vec`,
-//!   for large values over keys only some of which get one (the race
-//!   detector's per-word metadata, the value tracker's home image). Same
-//!   O(1) access and ascending iteration, at 4 bytes per key of range plus
-//!   one value per occupied key.
+//! * [`LineMap`] — a 4-byte slot per key of range into values packed in
+//!   insert order, for every table keyed by line, page or word number (the
+//!   directory and the home-side tables beside it, the classifier's blocks,
+//!   the race detector's words, the value tracker's home image and
+//!   unflushed records). O(1) access with no hashing, O(1) removal by swap,
+//!   and iteration in ascending key order, which the deterministic
+//!   fingerprint and listing paths rely on.
 //! * [`FxHashMap`] / [`FxHashSet`] — `std` maps with the Fx polynomial
 //!   hash (the rustc hasher) instead of SipHash, for per-node tables that
 //!   stay sparse (outstanding transactions, pending invalidations).
@@ -205,16 +203,28 @@ pub type FxHashMap<K, V> = std::collections::HashMap<K, V, FxBuildHasher>;
 /// `HashSet` with the Fx hash.
 pub type FxHashSet<K> = std::collections::HashSet<K, FxBuildHasher>;
 
-/// A map from dense `u64` keys (line or page indices) to `V`, stored as a
-/// `Vec<Option<V>>` slab that grows to the largest key touched.
+/// The index slot marking a vacant key.
+const VACANT: u32 = u32::MAX;
+
+/// A map from dense `u64` keys (line, page or word numbers) to `V`: a
+/// 4-byte slot per key of range, indexing values packed in insert order.
 ///
-/// All point operations are O(1) with no hashing; [`LineMap::iter`] and
-/// [`LineMap::keys`] walk the slab and therefore yield entries in ascending
-/// key order — deterministic by construction.
+/// The index is sized to one past the largest key set since the map was
+/// last empty, so it costs 4 bytes per key of range; each occupied key
+/// adds its key and its value. Point operations are O(1) with no hashing.
+/// [`LineMap::remove`] moves the last value into the freed slot, and a map
+/// emptied by it clears its index, so a clone of an empty map allocates
+/// nothing. [`LineMap::iter`] and [`LineMap::keys`] walk the index, so
+/// they yield entries in ascending key order whatever order they were
+/// inserted in, and two maps are equal when they hold the same entries.
 #[derive(Debug, Clone)]
 pub struct LineMap<V> {
-    slots: Vec<Option<V>>,
-    len: usize,
+    /// Per key, the slot of its value, or [`VACANT`].
+    index: Vec<u32>,
+    /// Per slot, its key.
+    keys: Vec<u64>,
+    /// Per slot, its value.
+    vals: Vec<V>,
 }
 
 impl<V> Default for LineMap<V> {
@@ -226,66 +236,90 @@ impl<V> Default for LineMap<V> {
 impl<V> LineMap<V> {
     /// An empty map.
     pub fn new() -> Self {
-        LineMap { slots: Vec::new(), len: 0 }
+        LineMap { index: Vec::new(), keys: Vec::new(), vals: Vec::new() }
     }
 
     /// Number of occupied entries.
     pub fn len(&self) -> usize {
-        self.len
+        self.vals.len()
     }
 
     /// No occupied entries?
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.vals.is_empty()
     }
 
+    /// The slot of `key`'s value, if it has one.
     #[inline]
-    fn slot_mut(&mut self, key: u64) -> &mut Option<V> {
-        let idx = usize::try_from(key).expect("LineMap key fits in usize");
-        if idx >= self.slots.len() {
-            // Grow geometrically so a rising address sweep costs amortized
-            // O(1) per new line rather than O(n) per insert.
-            let cap = (idx + 1).max(self.slots.len() * 2).max(16);
-            self.slots.resize_with(cap, || None);
+    fn slot(&self, key: u64) -> Option<usize> {
+        match self.index.get(usize::try_from(key).ok()?) {
+            Some(&slot) if slot != VACANT => Some(slot as usize),
+            _ => None,
         }
-        &mut self.slots[idx]
+    }
+
+    /// Append `value` as the entry of the vacant `key`; returns its slot.
+    fn push(&mut self, key: u64, value: V) -> usize {
+        let i = usize::try_from(key).expect("LineMap key fits in usize");
+        if i >= self.index.len() {
+            // `Vec` grows its capacity geometrically, so a rising sweep of
+            // keys costs amortized O(1) each, and the spare capacity is
+            // never written.
+            self.index.resize(i + 1, VACANT);
+        }
+        let slot = self.vals.len();
+        assert!(slot < VACANT as usize, "LineMap holds under 2^32 - 1 entries");
+        self.index[i] = slot as u32;
+        self.keys.push(key);
+        self.vals.push(value);
+        slot
     }
 
     /// The value at `key`, if present.
     #[inline]
     pub fn get(&self, key: u64) -> Option<&V> {
-        self.slots.get(key as usize).and_then(|s| s.as_ref())
+        self.slot(key).map(|s| &self.vals[s])
     }
 
     /// Mutable value at `key`, if present.
     #[inline]
     pub fn get_mut(&mut self, key: u64) -> Option<&mut V> {
-        self.slots.get_mut(key as usize).and_then(|s| s.as_mut())
+        self.slot(key).map(|s| &mut self.vals[s])
     }
 
     /// Is there an entry at `key`?
     #[inline]
     pub fn contains_key(&self, key: u64) -> bool {
-        self.get(key).is_some()
+        self.slot(key).is_some()
     }
 
     /// Insert `value` at `key`, returning the previous value if any.
     pub fn insert(&mut self, key: u64, value: V) -> Option<V> {
-        let slot = self.slot_mut(key);
-        let old = slot.replace(value);
-        if old.is_none() {
-            self.len += 1;
+        match self.slot(key) {
+            Some(s) => Some(std::mem::replace(&mut self.vals[s], value)),
+            None => {
+                self.push(key, value);
+                None
+            }
         }
-        old
     }
 
-    /// Remove and return the entry at `key`.
+    /// Remove and return the entry at `key`. The last value moves into its
+    /// slot.
     pub fn remove(&mut self, key: u64) -> Option<V> {
-        let old = self.slots.get_mut(key as usize).and_then(|s| s.take());
-        if old.is_some() {
-            self.len -= 1;
+        let s = self.slot(key)?;
+        self.index[key as usize] = VACANT;
+        self.keys.swap_remove(s);
+        let value = self.vals.swap_remove(s);
+        if let Some(&moved) = self.keys.get(s) {
+            self.index[moved as usize] = s as u32;
         }
-        old
+        if self.keys.is_empty() {
+            // The index keeps its capacity, but a clone (the model
+            // checker's, per state) copies nothing and a walk scans nothing.
+            self.index.clear();
+        }
+        Some(value)
     }
 
     /// The entry at `key`, inserting `V::default()` first if vacant.
@@ -300,18 +334,17 @@ impl<V> LineMap<V> {
     /// The entry at `key`, inserting `make()` first if vacant.
     #[inline]
     pub fn entry_or_insert_with(&mut self, key: u64, make: impl FnOnce() -> V) -> &mut V {
-        if !self.contains_key(key) {
-            self.insert(key, make());
-        }
-        self.get_mut(key).expect("slot just filled")
+        let s = match self.slot(key) {
+            Some(s) => s,
+            None => self.push(key, make()),
+        };
+        &mut self.vals[s]
     }
 
     /// Iterate `(key, &value)` in ascending key order.
     pub fn iter(&self) -> impl Iterator<Item = (u64, &V)> {
-        self.slots
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| s.as_ref().map(|v| (i as u64, v)))
+        let set = self.index.iter().enumerate().filter(|&(_, &slot)| slot != VACANT);
+        set.map(|(key, &slot)| (key as u64, &self.vals[slot as usize]))
     }
 
     /// Iterate occupied keys in ascending order.
@@ -320,178 +353,15 @@ impl<V> LineMap<V> {
     }
 }
 
-/// A dense index from `u64` keys to `u32` slot numbers: a `Vec<u32>` that
-/// grows to the largest key set and marks a vacant key with `u32::MAX`,
-/// so a key of range costs 4 bytes where a `LineMap<u32>` spends 8.
-/// [`SlotIndex::iter`] yields the set keys in ascending order.
-#[derive(Debug, Clone, Default)]
-pub struct SlotIndex {
-    slots: Vec<u32>,
-}
-
-impl SlotIndex {
-    /// The slot marking a vacant key.
-    const VACANT: u32 = u32::MAX;
-
-    /// An empty index.
-    pub fn new() -> Self {
-        SlotIndex { slots: Vec::new() }
-    }
-
-    /// The slot at `key`, if set.
-    #[inline]
-    pub fn get(&self, key: u64) -> Option<u32> {
-        match self.slots.get(usize::try_from(key).ok()?) {
-            Some(&slot) if slot != Self::VACANT => Some(slot),
-            _ => None,
-        }
-    }
-
-    /// Set `key`'s slot to `slot`, which must be below `u32::MAX`.
-    pub fn set(&mut self, key: u64, slot: u32) {
-        assert!(slot != Self::VACANT, "slot {slot} is the vacant marker");
-        let i = usize::try_from(key).expect("SlotIndex key fits in usize");
-        if i >= self.slots.len() {
-            // `Vec` grows its capacity geometrically, so a rising sweep of
-            // keys costs amortized O(1) each, and the spare capacity is
-            // never written.
-            self.slots.resize(i + 1, Self::VACANT);
-        }
-        self.slots[i] = slot;
-    }
-
-    /// Unset `key`'s slot.
-    pub fn unset(&mut self, key: u64) {
-        if let Some(slot) = usize::try_from(key).ok().and_then(|i| self.slots.get_mut(i)) {
-            *slot = Self::VACANT;
-        }
-    }
-
-    /// Unset every key. The index keeps its capacity, and a clone of it
-    /// allocates nothing until a key is set again.
-    pub fn clear(&mut self) {
-        self.slots.clear();
-    }
-
-    /// Iterate `(key, slot)` over the set keys in ascending key order.
-    pub fn iter(&self) -> impl Iterator<Item = (u64, u32)> + '_ {
-        let set = self.slots.iter().enumerate().filter(|&(_, &slot)| slot != Self::VACANT);
-        set.map(|(key, &slot)| (key as u64, slot))
-    }
-}
-
-/// A map from dense `u64` keys to `V`, stored as a [`SlotIndex`] into a
-/// packed `Vec<V>` in first-insert order. Entries are never removed.
-///
-/// Point operations are O(1) with no hashing. [`PackedMap::iter`] walks the
-/// index, so it yields entries in ascending key order whatever order they
-/// were inserted in, and two maps are equal when they hold the same entries.
-#[derive(Debug, Clone)]
-pub struct PackedMap<V> {
-    index: SlotIndex,
-    vals: Vec<V>,
-}
-
-impl<V> Default for PackedMap<V> {
-    fn default() -> Self {
-        PackedMap::new()
-    }
-}
-
-impl<V> PackedMap<V> {
-    /// An empty map.
-    pub fn new() -> Self {
-        PackedMap { index: SlotIndex::new(), vals: Vec::new() }
-    }
-
-    /// Append `value` as the entry of the vacant `key`.
-    fn push(&mut self, key: u64, value: V) -> usize {
-        let slot = self.vals.len();
-        self.index.set(key, u32::try_from(slot).expect("PackedMap holds under 2^32 - 1 entries"));
-        self.vals.push(value);
-        slot
-    }
-
-    /// The entry at `key`, inserting `make()` first if vacant.
-    #[inline]
-    pub fn get_or_insert_with(&mut self, key: u64, make: impl FnOnce() -> V) -> &mut V {
-        let slot = match self.index.get(key) {
-            Some(slot) => slot as usize,
-            None => self.push(key, make()),
-        };
-        &mut self.vals[slot]
-    }
-
-    /// Set the entry at `key` to `value`.
-    #[inline]
-    pub fn insert(&mut self, key: u64, value: V) {
-        match self.index.get(key) {
-            Some(slot) => self.vals[slot as usize] = value,
-            None => {
-                self.push(key, value);
-            }
-        }
-    }
-
-    /// Iterate `(key, &value)` in ascending key order.
-    pub fn iter(&self) -> impl Iterator<Item = (u64, &V)> {
-        self.index.iter().map(|(key, slot)| (key, &self.vals[slot as usize]))
-    }
-}
-
-impl<V: PartialEq> PartialEq for PackedMap<V> {
+impl<V: PartialEq> PartialEq for LineMap<V> {
     fn eq(&self, other: &Self) -> bool {
-        self.vals.len() == other.vals.len() && self.iter().eq(other.iter())
+        self.len() == other.len() && self.iter().eq(other.iter())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn slot_index_sets_clears_and_iterates_in_key_order() {
-        let mut ix = SlotIndex::new();
-        assert_eq!(ix.get(3), None);
-        for (k, slot) in [(9, 0), (2, 1), (40, 2)] {
-            ix.set(k, slot);
-        }
-        ix.set(2, 7);
-        ix.unset(9);
-        ix.unset(1_000);
-        assert_eq!((ix.get(2), ix.get(9), ix.get(41)), (Some(7), None, None));
-        assert_eq!(ix.iter().collect::<Vec<_>>(), [(2, 7), (40, 2)]);
-        ix.clear();
-        assert_eq!((ix.get(2), ix.iter().count()), (None, 0));
-    }
-
-    #[test]
-    fn packed_map_point_operations_and_key_order() {
-        let mut m: PackedMap<u64> = PackedMap::new();
-        assert_eq!(m.iter().count(), 0);
-        for k in [9, 2, 40, 0, 17] {
-            *m.get_or_insert_with(k, || 0) += k;
-        }
-        *m.get_or_insert_with(2, || unreachable!("occupied")) += 1;
-        m.insert(40, 7);
-        let entries: Vec<(u64, u64)> = m.iter().map(|(k, &v)| (k, v)).collect();
-        assert_eq!(entries, vec![(0, 0), (2, 3), (9, 9), (17, 17), (40, 7)]);
-    }
-
-    #[test]
-    fn packed_maps_with_the_same_entries_are_equal_whatever_the_insert_order() {
-        let mut a: PackedMap<u8> = PackedMap::new();
-        let mut b: PackedMap<u8> = PackedMap::new();
-        for k in [5, 1, 300] {
-            a.insert(k, k as u8);
-        }
-        for k in [300, 5, 1] {
-            b.insert(k, k as u8);
-        }
-        assert_eq!(a, b);
-        b.insert(1, 9);
-        assert_ne!(a, b);
-    }
 
     #[test]
     fn line_map_point_operations() {
@@ -515,6 +385,119 @@ mod tests {
         assert_eq!(m.len(), 1);
         assert_eq!(m.get(10_000), Some(&1));
         assert_eq!(m.get(9_999), None);
+    }
+
+    #[test]
+    fn line_map_index_grows_exactly_to_the_largest_key() {
+        let mut m: LineMap<u64> = LineMap::new();
+        for k in 0..=999 {
+            m.insert(k, k);
+        }
+        assert_eq!(m.index.len(), 1_000);
+        assert_eq!((m.keys.len(), m.vals.len()), (1_000, 1_000));
+    }
+
+    #[test]
+    fn emptied_line_map_clones_allocate_nothing() {
+        let mut m: LineMap<u64> = LineMap::new();
+        for k in [40, 3, 17] {
+            m.insert(k, k);
+        }
+        for k in [3, 40, 17] {
+            assert_eq!(m.remove(k), Some(k));
+        }
+        assert!(m.is_empty() && m.iter().next().is_none());
+        let c = m.clone();
+        assert_eq!(c.index.capacity() + c.keys.capacity() + c.vals.capacity(), 0);
+        assert_eq!(m, LineMap::new());
+    }
+
+    #[test]
+    fn line_maps_with_the_same_entries_are_equal_whatever_the_insert_order() {
+        let mut a: LineMap<u8> = LineMap::new();
+        let mut b: LineMap<u8> = LineMap::new();
+        for k in [5, 1, 300] {
+            a.insert(k, k as u8);
+        }
+        for k in [300, 5, 1, 7] {
+            b.insert(k, k as u8);
+        }
+        assert_ne!(a, b);
+        b.remove(7);
+        assert_eq!(a, b);
+        b.insert(1, 9);
+        assert_ne!(a, b);
+    }
+
+    /// `LineMap` against `BTreeMap` over a seeded stream of inserts,
+    /// overwrites, removals (of a middle, the last-inserted and an absent
+    /// key), drains to empty and refills: after every step both agree on
+    /// every point lookup, the length, the listing and equality.
+    #[test]
+    fn line_map_matches_a_btree_map_model() {
+        use crate::rng::Rng;
+        use std::collections::BTreeMap;
+        const RANGE: u64 = 96;
+        let mut rng = Rng::new(0x7ab1e);
+        let (mut m, mut model) = (LineMap::<u64>::new(), BTreeMap::<u64, u64>::new());
+        let mut last_inserted = 0;
+        for step in 0..20_000u64 {
+            let key = rng.below(RANGE);
+            match rng.below(10) {
+                // Insert a fresh key or overwrite a present one.
+                0..=3 => {
+                    assert_eq!(m.insert(key, step), model.insert(key, step), "step {step}");
+                    last_inserted = key;
+                }
+                // Remove a present key from the middle of the listing.
+                4 => {
+                    let mid = model.keys().nth(model.len() / 2).copied();
+                    if let Some(k) = mid {
+                        assert_eq!(m.remove(k), model.remove(&k), "step {step}");
+                    }
+                }
+                // Remove the key inserted last (the last packed slot, unless
+                // a removal has moved it since).
+                5 => assert_eq!(m.remove(last_inserted), model.remove(&last_inserted)),
+                // Remove a key that may be absent, or lies past the index.
+                6 => {
+                    let k = key + RANGE * rng.below(2);
+                    assert_eq!(m.remove(k), model.remove(&k), "step {step}");
+                }
+                7 => {
+                    *m.entry_or_default(key) += 1;
+                    *model.entry(key).or_default() += 1;
+                }
+                8 => {
+                    if let (Some(v), Some(w)) = (m.get_mut(key), model.get_mut(&key)) {
+                        *v ^= step;
+                        *w ^= step;
+                    }
+                }
+                // Drain to empty, in a random order, then refill.
+                _ if step % 7 == 0 => {
+                    let mut keys: Vec<u64> = model.keys().copied().collect();
+                    rng.shuffle(&mut keys);
+                    for k in keys {
+                        assert_eq!(m.remove(k), model.remove(&k), "step {step}");
+                    }
+                    assert!(m.is_empty() && m.index.is_empty(), "step {step}");
+                    assert_eq!(m, LineMap::new());
+                }
+                _ => {}
+            }
+            for k in 0..RANGE + 1 {
+                assert_eq!(m.get(k), model.get(&k), "step {step}, key {k}");
+                assert_eq!(m.contains_key(k), model.contains_key(&k));
+            }
+            assert_eq!(m.len(), model.len(), "step {step}");
+            assert!(m.iter().eq(model.iter().map(|(&k, v)| (k, v))), "step {step}");
+            let mut rebuilt = LineMap::new();
+            for (&k, &v) in model.iter().rev() {
+                rebuilt.insert(k, v);
+            }
+            assert_eq!(m, rebuilt, "step {step}");
+        }
     }
 
     #[test]
