@@ -161,3 +161,15 @@ fn mutated_journals_and_wedge_dumps_end_in_a_verdict_or_a_usage_error() {
     assert!(judged > 0 && refused > 0, "journal mutations must both pass and bite");
     fs::remove_dir_all(&root).unwrap();
 }
+
+/// A wedge dump nested 100,000 arrays deep (a 200,001-byte file) is a usage
+/// error, not a stack overflow in the parser.
+#[test]
+fn deeply_nested_replay_file_is_a_usage_error() {
+    let root = scratch("deep");
+    let file = root.join("deep.json");
+    fs::write(&file, "[".repeat(100_000) + &"]".repeat(100_000) + "\n").unwrap();
+    assert_eq!(fs::metadata(&file).unwrap().len(), 200_001);
+    assert_eq!(soak(&root, &["--replay", file.to_str().unwrap(), "--quiet"]), Some(2));
+    fs::remove_dir_all(&root).unwrap();
+}

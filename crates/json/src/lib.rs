@@ -56,7 +56,7 @@ pub use codec::{
     expect_object, tag_of, Ctx, Dec, DecodeError, DecodeReason, Defaulted, Flat, List, Node, Opt,
     Plain, Skip, Wire,
 };
-pub use parse::{parse, ParseError};
+pub use parse::{parse, ParseError, MAX_DEPTH};
 pub use print::{to_string, to_string_pretty};
 
 use std::ops::Index;

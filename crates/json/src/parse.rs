@@ -19,10 +19,16 @@ impl std::fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// The deepest nesting of arrays and objects [`parse`] accepts. The parser
+/// recurses once per level, so an unbounded document could overflow the
+/// stack; the deepest document the repo writes nests 7 levels.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parse a complete JSON document (trailing whitespace allowed, trailing
-/// garbage rejected).
+/// garbage rejected). Arrays and objects nested deeper than [`MAX_DEPTH`]
+/// are an error.
 pub fn parse(text: &str) -> Result<Value, ParseError> {
-    let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
+    let mut p = Parser { bytes: text.as_bytes(), pos: 0, depth: 0 };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -35,6 +41,8 @@ pub fn parse(text: &str) -> Result<Value, ParseError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open at `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -72,8 +80,15 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Value, ParseError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err("arrays and objects nest too deep"));
+                }
+                self.depth += 1;
+                let v = if open == b'{' { self.object() } else { self.array() };
+                self.depth -= 1;
+                v
+            }
             Some(b'"') => Ok(Value::Str(self.string()?)),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -164,9 +179,9 @@ impl Parser<'_> {
                                     self.pos += 1;
                                     self.eat(b'u', "expected low surrogate")?;
                                     let lo = self.hex4()?;
-                                    let combined =
-                                        0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00);
-                                    char::from_u32(combined)
+                                    let hi = (cp - 0xD800) << 10;
+                                    let lo = lo.checked_sub(0xDC00).filter(|&l| l < 0x400);
+                                    lo.and_then(|lo| char::from_u32(0x10000 + hi + lo))
                                 } else {
                                     None
                                 }
@@ -271,6 +286,25 @@ mod tests {
         assert!(parse("[1,]").is_err());
         assert!(parse("12 34").is_err());
         assert!(parse("\"unterminated").is_err());
+    }
+
+    #[test]
+    fn nesting_past_the_bound_is_a_typed_error() {
+        let nest = |n: usize| "[".repeat(n) + &"]".repeat(n);
+        assert!(parse(&nest(MAX_DEPTH)).is_ok());
+        let too_deep = ParseError { at: MAX_DEPTH, msg: "arrays and objects nest too deep" };
+        assert_eq!(parse(&nest(MAX_DEPTH + 1)), Err(too_deep.clone()));
+        assert_eq!(parse(&"[".repeat(100_000)), Err(too_deep));
+        let objects = "{\"a\":".repeat(100_000);
+        assert_eq!(parse(&objects).map_err(|e| e.at), Err(5 * MAX_DEPTH));
+    }
+
+    #[test]
+    fn a_high_surrogate_without_its_low_half_is_a_typed_error() {
+        for text in [r#""\ud800\u0041""#, r#""\ud800\ud800""#, r#""\ud800\uffff""#] {
+            assert_eq!(parse(text).map_err(|e| e.msg), Err("bad unicode escape"), "{text}");
+        }
+        assert_eq!(parse(r#""\ud83d\ude00""#).unwrap().as_str(), Some("\u{1f600}"));
     }
 
     #[test]
