@@ -484,13 +484,15 @@ pub fn traffic(r: &Runner, p: Params) -> Report {
     }
 }
 
+/// The machine sizes `scaling` simulates, whatever `--procs` says.
+pub const SCALING_PROCS: [usize; 3] = [4, 16, 64];
+
 /// Extension: machine-size scaling — how the protocol gaps evolve from 4
 /// to 64 processors (the paper reports 64 only).
 pub fn scaling(r: &Runner, p: Params) -> Report {
     let apps = [WorkloadKind::Gauss, WorkloadKind::Mp3d];
-    let sizes = [4usize, 16, 64];
     let mut specs = Vec::new();
-    for &procs in &sizes {
+    for procs in SCALING_PROCS {
         for &w in &apps {
             for proto in [Protocol::Sc, Protocol::Erc, Protocol::Lrc] {
                 let mut s = RunSpec::new(proto, w, p.scale, procs).with_seed(p.seed);
@@ -506,7 +508,7 @@ pub fn scaling(r: &Runner, p: Params) -> Report {
     ]);
     let mut rows = Vec::new();
     let mut i = 0;
-    for &procs in &sizes {
+    for procs in SCALING_PROCS {
         for &w in &apps {
             let sc = results[i].stats.total_cycles.max(1);
             let eager = results[i + 1].stats.total_cycles;
@@ -535,22 +537,31 @@ pub fn scaling(r: &Runner, p: Params) -> Report {
     }
 }
 
+/// The node count `mesh256` simulates, whatever `--procs` says.
+pub const MESH256_PROCS: usize = 256;
+
 /// Extension: mp3d under lazy RC on a 256-node (16×16) mesh, four times
 /// the paper's machine, whatever `--procs` says. Wall time stays out of
 /// the report so that its stored blob is byte-reproducible; the runner's
 /// verbose line prints it.
 pub fn mesh256(r: &Runner, p: Params) -> Report {
-    let spec = RunSpec::new(Protocol::Lrc, WorkloadKind::Mp3d, p.scale, 256).with_seed(p.seed);
+    let spec =
+        RunSpec::new(Protocol::Lrc, WorkloadKind::Mp3d, p.scale, MESH256_PROCS).with_seed(p.seed);
     let res = r.run_one(&spec);
     let mut t = Table::new(vec!["procs", "simulated cycles", "events", "peak queue depth"]);
     let (cycles, events, depth) = (res.stats.total_cycles, res.events, res.peak_queue_depth);
-    t.row(vec!["256".to_string(), cycles.to_string(), events.to_string(), depth.to_string()]);
+    t.row(vec![
+        MESH256_PROCS.to_string(),
+        cycles.to_string(),
+        events.to_string(),
+        depth.to_string(),
+    ]);
     Report {
         id: "mesh256".into(),
         title: "mp3d under lazy RC on a 256-node (16×16) mesh".into(),
         text: t.render(),
         json: json!({
-            "scale": p.scale.name(), "procs": 256,
+            "scale": p.scale.name(), "procs": MESH256_PROCS,
             "cycles": cycles, "events": events, "peak_queue_depth": depth,
         }),
     }
@@ -906,6 +917,19 @@ pub const ALL_IDS: [&str; 19] = [
     "table1", "table2", "table3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "sweep",
     "quality", "traffic", "scaling", "mesh256", "ablate", "fences", "observe", "diverge", "avail",
 ];
+
+/// The machines experiment `id` simulates at `procs` processors: the
+/// future machine for figures 8 and 9, [`MESH256_PROCS`] nodes for
+/// `mesh256`, each of [`SCALING_PROCS`] for `scaling`, and Table 1's
+/// machine for the rest (the sweeps and ablations vary it per run).
+pub fn machines(id: &str, procs: usize) -> Vec<MachineConfig> {
+    match id {
+        "fig8" | "fig9" => vec![MachineConfig::future_machine(procs)],
+        "mesh256" => vec![MachineConfig::paper_default(MESH256_PROCS)],
+        "scaling" => SCALING_PROCS.map(MachineConfig::paper_default).to_vec(),
+        _ => vec![MachineConfig::paper_default(procs)],
+    }
+}
 
 /// Run an experiment by id.
 pub fn run_by_id(id: &str, r: &Runner, p: Params) -> Option<Report> {

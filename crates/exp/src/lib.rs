@@ -16,7 +16,9 @@ pub mod stats;
 pub mod store;
 
 pub use experiments::{run_by_id, Params, ALL_IDS};
-pub use manifest::{config_hash, resolve_timestamp, HostFacts, RunManifest};
+pub use manifest::{
+    config_hash, current_config_hash, machines_json, resolve_timestamp, HostFacts, RunManifest,
+};
 pub use paths::{prepare_out_dir, FlagPathError};
 pub use report::{
     metrics, paper_stats, regeneration_index_md, render_html, report_json, splice_index_md,

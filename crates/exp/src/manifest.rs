@@ -10,7 +10,8 @@
 //! artifacts they describe (see [`crate::store`]).
 
 use crate::sha::sha256_hex;
-use lrc_json::{canonical_dump, json, json_struct, Value};
+use lrc_json::{canonical_dump, json, json_struct, ToJson, Value};
+use lrc_sim::MachineConfig;
 
 /// Manifest schema tag; bump on incompatible layout changes.
 pub const MANIFEST_SCHEMA: &str = "lrc-exp-manifest-v1";
@@ -66,8 +67,9 @@ pub struct RunManifest {
     /// experiment needs). Kept as JSON so the manifest schema survives
     /// parameter growth.
     pub params: Value,
-    /// The canonicalized base machine configuration (Table-1 defaults for
-    /// the run's processor count); `null` for migrated artifacts.
+    /// The base machine configuration the experiment simulates
+    /// ([`crate::experiments::machines`]), or the list of them when it
+    /// simulates several; `null` for migrated artifacts.
     pub config: Value,
     /// [`config_hash`] over (experiment, params, config), or [`UNKNOWN`]
     /// for migrated artifacts.
@@ -94,6 +96,24 @@ json_struct!(RunManifest {
     artifact,
     migrated,
 });
+
+/// A manifest's `config`: the one machine its experiment simulates, or
+/// the list of them.
+pub fn machines_json(machines: &[MachineConfig]) -> Value {
+    match machines {
+        [one] => one.to_json(),
+        all => Value::Array(all.iter().map(ToJson::to_json).collect()),
+    }
+}
+
+/// The configuration hash the *current* tool derives for a manifest's
+/// experiment and parameters: the staleness oracle for
+/// [`Store::check`](crate::Store::check).
+pub fn current_config_hash(m: &RunManifest) -> Option<String> {
+    let procs = usize::try_from(m.params["procs"].as_u64()?).ok()?;
+    let machines = crate::experiments::machines(&m.experiment, procs);
+    Some(config_hash(&m.experiment, &m.params, &machines_json(&machines)))
+}
 
 /// The configuration hash: SHA-256 over the canonical JSON of the triple
 /// that determines a deterministic run's output. Invariant under field

@@ -1,9 +1,11 @@
 //! Provenance invariants: the configuration hash must depend on the
-//! *content* of params/config, never on field insertion order — and the
-//! store must round-trip artifacts by canonical content hash.
+//! *content* of params/config, never on field insertion order — the
+//! store must round-trip artifacts by canonical content hash, and a stored
+//! run must name the machine it simulated.
 
 use lrc_exp::{config_hash, IndexEntry, RunManifest, Store};
 use lrc_json::{json, Value};
+use std::process::{Command, Stdio};
 
 /// Every rotation of an object's field list is the same object.
 fn rotations(v: &Value) -> Vec<Value> {
@@ -84,4 +86,45 @@ fn store_round_trips_artifacts_and_manifests() {
     assert_eq!(blob["id"].as_str(), Some("fig4"));
 
     let _ = std::fs::remove_dir_all(&root);
+}
+
+/// Run `lrc-exp` with `args` into a fresh store, require `report --check`
+/// to find it current, and return the store's one index row and manifest.
+fn stored_run(name: &str, args: &[&str]) -> (IndexEntry, RunManifest) {
+    let root = std::env::temp_dir().join(format!("lrc-exp-{name}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let exp = |args: &[&str]| {
+        let status = Command::new(env!("CARGO_BIN_EXE_lrc-exp"))
+            .args(args)
+            .args(["--store", root.to_str().unwrap()])
+            .stdout(Stdio::null())
+            .stderr(Stdio::null())
+            .status()
+            .expect("lrc-exp starts");
+        assert!(status.success(), "lrc-exp {args:?} exited {status}");
+    };
+    exp(&[args, &["--timestamp", "1754700000", "--quiet"]].concat());
+    exp(&["report", "--check"]);
+    let store = Store::open(&root).expect("open store");
+    let rows = store.entries().expect("index decodes");
+    assert_eq!(rows.len(), 1);
+    let manifest = store.manifest(&rows[0]).expect("manifest decodes");
+    let _ = std::fs::remove_dir_all(&root);
+    (rows[0].clone(), manifest)
+}
+
+#[test]
+fn a_stored_run_names_the_machine_it_simulated() {
+    // mesh256 simulates 256 nodes whatever --procs says (64 by default).
+    let (row, manifest) = stored_run("mesh256", &["mesh256", "--scale", "tiny"]);
+    assert_eq!(row.procs, 256);
+    assert_eq!(manifest.config["num_procs"].as_u64(), Some(256));
+    // Figures 8 and 9 run the future machine, with 256-byte lines.
+    let (row, manifest) = stored_run("fig8", &["fig8", "--scale", "tiny", "--procs", "8"]);
+    assert_eq!(row.procs, 8);
+    assert_eq!(manifest.config["line_size"].as_u64(), Some(256));
+    // A single Table 1 machine is recorded as before: one config object.
+    let (row, manifest) = stored_run("table1", &["table1", "--scale", "tiny", "--procs", "8"]);
+    assert_eq!(row.procs, 8);
+    assert_eq!(manifest.config["line_size"].as_u64(), Some(128));
 }
