@@ -33,7 +33,45 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "==> offline: lockfiles hold only in-repo path crates"
+# Each `==>` stage's wall time, printed as a table when the script exits,
+# whether it passes or a stage fails.
+stage_names=()
+stage_ms=()
+stage_t0=""
+now_ms() { echo $(( $(date +%s%N) / 1000000 )); }
+# stage_stop: close the running stage's clock.
+stage_stop() {
+  if [ -n "$stage_t0" ]; then
+    stage_ms+=($(( $(now_ms) - stage_t0 )))
+    stage_t0=""
+  fi
+}
+# stage NAME: close the running stage, then announce and time NAME.
+stage() {
+  stage_stop
+  stage_names+=("$1")
+  stage_t0=$(now_ms)
+  echo "==> $1"
+}
+stage_table() {
+  local status=$? i ms total=0 mark
+  stage_stop
+  echo
+  echo "stage wall times (s):"
+  for i in "${!stage_names[@]}"; do
+    ms=${stage_ms[$i]}
+    total=$((total + ms))
+    mark=""
+    if [ "$status" -ne 0 ] && [ "$i" -eq $((${#stage_names[@]} - 1)) ]; then
+      mark="  (failed, exit $status)"
+    fi
+    printf '%7d.%d  %s%s\n' $((ms / 1000)) $((ms % 1000 / 100)) "${stage_names[$i]}" "$mark"
+  done
+  printf '%7d.%d  total\n' $((total / 1000)) $((total % 1000 / 100))
+}
+trap stage_table EXIT
+
+stage "offline: lockfiles hold only in-repo path crates"
 # Cargo writes a `source = ` line into the lockfile entry of every registry
 # or git package; path crates have none. Name each offender.
 external=$(awk '/^name = /{name=$3} /^source = /{gsub(/"/, "", name); print FILENAME ": " name}' \
@@ -44,7 +82,7 @@ if [ -n "$external" ]; then
   exit 1
 fi
 
-echo "==> tier 1: workspace release build + root tests"
+stage "tier 1: workspace release build + root tests"
 cargo build --workspace --release
 # The root package's suites. Among them: the snapshot contract
 # (tests/snapshot_restore.rs: checkpoint mid-run, restore, run to
@@ -58,13 +96,13 @@ cargo build --workspace --release
 # the simulation bit-identical until explicitly configured.
 cargo test -q
 
-echo "==> lint: clippy -D warnings (workspace, all targets)"
+stage "lint: clippy -D warnings (workspace, all targets)"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> docs: rustdoc -D warnings (workspace)"
+stage "docs: rustdoc -D warnings (workspace)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
-echo "==> unsafe: crate roots must forbid unsafe_code"
+stage "unsafe: crate roots must forbid unsafe_code"
 missing=0
 for root in src/lib.rs crates/*/src/lib.rs crates/*/src/main.rs; do
   [ -f "$root" ] || continue
@@ -75,10 +113,10 @@ for root in src/lib.rs crates/*/src/lib.rs crates/*/src/main.rs; do
 done
 [ "$missing" -eq 0 ]
 
-echo "==> tier 2: workspace tests (the root package ran in tier 1)"
+stage "tier 2: workspace tests (the root package ran in tier 1)"
 cargo test --workspace --exclude lazy-rc -q
 
-echo "==> checker sweep: pinned counts and outcomes, congruence audit, reversed push order"
+stage "checker sweep: pinned counts and outcomes, congruence audit, reversed push order"
 # Six scenarios x four protocols, with and without the race detector. A
 # fingerprint that merged or split logical states moves a count or an
 # outcome digest and fails here, and so does one that merges two states
@@ -87,21 +125,21 @@ echo "==> checker sweep: pinned counts and outcomes, congruence audit, reversed 
 # same guards on the explorations pinned below 5,000 states.
 cargo test -p lrc-check --release --offline -- --ignored
 
-echo "==> mutation sweep: 3,000 mutants of snapshots with both trackers armed"
+stage "mutation sweep: 3,000 mutants of snapshots with both trackers armed"
 # Tier 1 runs 300 mutants; this runs ten times as many, of three snapshots
 # whose race words, home image and unflushed records index dense tables.
 # Every mutant must restore or fail with a typed SnapshotError: a panic,
 # or a key past the address space sizing a table, fails the stage.
 cargo test --release --offline --test snapshot_restore -- --ignored
 
-echo "==> perfbench: build and test the benchmark crate"
+stage "perfbench: build and test the benchmark crate"
 # perfbench calls the crates' public APIs by path (MachineSnapshot's
 # capture/encode/parse/restore, ToJson, lrc_exp::config_hash), and its
 # tests include a negative control on the snapshot codec: a mutated
 # snapshot must count as a failed iteration.
 cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
-echo "==> bench A/B smoke: lrc-bench ab with this checkout on both sides"
+stage "bench A/B smoke: lrc-bench ab with this checkout on both sides"
 # One one-second check-lazy pair of BENCHMARK.json's own command, run in
 # this checkout for both sides. One pair is below the ten the A/B rule
 # needs, so every metric must read unresolved; the point must carry the v2
@@ -117,7 +155,7 @@ verdicts=$(grep -c '"verdict": ' "$abpoint")
 [ "$(grep -c '"verdict": "unresolved"' "$abpoint")" -eq "$verdicts" ]
 rm -f "$abpoint"
 
-echo "==> soak smoke: every lrc-soak mode at --smoke, killed and resumed"
+stage "soak smoke: every lrc-soak mode at --smoke, killed and resumed"
 # Each mode's smoke sweep runs once, uninterrupted and journaled, and must
 # exit 0 (set -e): lrc-soak exits non-zero on any failed cell. Then the
 # crash-resumable sweep: cell markers are written atomically and in sweep
@@ -172,7 +210,7 @@ resume_check availability 'cell-avail0.25-*' --availability
 ./target/release/lrc-soak --replay tests/fixtures/wedge-unrecoverable-seed1.json --quiet
 rm -rf "$snapdir"
 
-echo "==> race smoke: lrc-check --races"
+stage "race smoke: lrc-check --races"
 # The checker's positive control: the racy scenario must FAIL (exit 1) with
 # a race counterexample, and a clean scenario must still PASS with the
 # detector armed.
@@ -187,7 +225,7 @@ grep -q 'data race' /tmp/race_check.out
   --max-states 20000 > /dev/null
 rm -f /tmp/race_check.out
 
-echo "==> crash smoke: lrc-check --crash-nth counterexample"
+stage "crash smoke: lrc-check --crash-nth counterexample"
 # The checker's crash choice point, negative control first: with the
 # injected recovery bug (the home skips reclaiming a dead node's locks),
 # some crash timing in 1..80 must wedge the survivors, and the minimized
@@ -244,7 +282,7 @@ fi
   --crash-nth "$foundn" --crash-node 1 --max-states 20000 > /dev/null
 rm -f "$crashout"
 
-echo "==> observability smoke: traced observe run + artifact validation"
+stage "observability smoke: traced observe run + artifact validation"
 # A tiny fully instrumented run: structured trace -> Perfetto JSON (checked
 # by the experiment itself via a serialize/parse round-trip), latency
 # histograms, and the metrics time series. Here we additionally check the
@@ -262,7 +300,7 @@ grep -q '"name":"rt.read"' "$obsdir/observe.latency.json"
 [ -s "$obsdir/observe.jsonl" ]
 rm -rf "$obsdir"
 
-echo "==> report smoke: store round-trip, HTML report, staleness gate"
+stage "report smoke: store round-trip, HTML report, staleness gate"
 # The experiment lab end to end at tiny scale: a two-seed run into a fresh
 # store (fixed --timestamp so the store is byte-reproducible), the HTML
 # paper report with provenance links and cross-seed CI columns, and the
