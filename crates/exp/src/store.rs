@@ -137,6 +137,12 @@ impl std::fmt::Display for CheckFailure {
     }
 }
 
+/// The first 12 characters of a hash read from the index, or all of it
+/// when it is shorter or its 12th byte falls inside a character.
+fn short(hash: &str) -> &str {
+    hash.get(..12).unwrap_or(hash)
+}
+
 /// The store handle.
 pub struct Store {
     root: PathBuf,
@@ -266,7 +272,7 @@ impl Store {
             let prov = if e.migrated {
                 "migrated (unknown)".to_string()
             } else {
-                format!("config {}", &e.config_hash[..12.min(e.config_hash.len())])
+                format!("config {}", short(&e.config_hash))
             };
             out.push_str(&format!(
                 "| {} | {} | {} | {} | [{}](objects/{}.json) | [{}](objects/{}.json) | {} |\n",
@@ -274,9 +280,9 @@ impl Store {
                 e.scale,
                 e.procs,
                 e.seed,
-                &e.artifact[..12.min(e.artifact.len())],
+                short(&e.artifact),
                 e.artifact,
-                &e.manifest[..12.min(e.manifest.len())],
+                short(&e.manifest),
                 e.manifest,
                 prov,
             ));
@@ -455,6 +461,20 @@ mod tests {
         let hb = store.put(&b).unwrap();
         assert_eq!(ha, hb, "canonicalization erases insertion order");
         assert_eq!(store.get(&ha).unwrap(), lrc_json::canonicalize(&a));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// An index row is outside input: a hash whose 12th byte falls inside
+    /// a character still renders into INDEX.md.
+    #[test]
+    fn record_renders_a_non_ascii_hash() {
+        let dir = tmpdir("non-ascii");
+        let store = Store::open(&dir).unwrap();
+        let odd = "a".to_string() + &"é".repeat(10);
+        let entry = put_run(&store, "fig4", 0, json!({ "v": 1 }));
+        store.record(IndexEntry { seed: 1, artifact: odd.clone(), ..entry }).unwrap();
+        let md = std::fs::read_to_string(dir.join("INDEX.md")).unwrap();
+        assert!(md.contains(&format!("[{odd}](objects/{odd}.json)")));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
