@@ -696,13 +696,10 @@ impl Machine {
         let scan_shift = self.watchdog.map_or(0, |h| (h / 8).max(1).ilog2());
 
         loop {
-            match self.queue.peek_time() {
-                None => return Ok(false),
-                Some(t) if t >= limit => return Ok(true),
-                Some(_) => {}
-            }
             let before = self.queue.now();
-            let (t, ev) = self.queue.pop().expect("peeked non-empty");
+            let Some((t, ev)) = self.queue.pop_before(limit) else {
+                return Ok(!self.queue.is_empty());
+            };
             if t > self.max_cycles {
                 return Err(Box::new(
                     self.diagnose(StallReason::CycleHorizon(self.max_cycles), t),

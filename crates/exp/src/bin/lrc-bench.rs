@@ -258,6 +258,15 @@ fn main() {
     if bench.command.is_empty() {
         die(2, "BENCHMARK.json: command is empty");
     }
+    if bench.run_seconds == 0 {
+        die(2, "BENCHMARK.json: run_seconds must be at least 1");
+    }
+    if bench.end_to_end.is_empty() {
+        die(2, "BENCHMARK.json: end_to_end lists no metric");
+    }
+    if let Some(m) = bench.end_to_end.iter().find(|m| !(m.bound.is_finite() && m.bound >= 0.0)) {
+        die(2, &format!("BENCHMARK.json: end_to_end {}: bound must be finite and >= 0", m.name));
+    }
     if !bench.workloads.iter().any(|w| w.name == workload) {
         let names: Vec<&str> = bench.workloads.iter().map(|w| w.name.as_str()).collect();
         die(2, &format!("--workload: unknown workload '{workload}' (have {})", names.join(", ")));

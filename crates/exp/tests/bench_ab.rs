@@ -71,6 +71,13 @@ impl Lab {
         log.lines().map(str::to_string).collect()
     }
 
+    /// Write `text` as both sides' `BENCHMARK.json`.
+    fn benchmark(&self, text: &[u8]) {
+        for side in ["parent", "change"] {
+            fs::write(self.root.join(side).join("BENCHMARK.json"), text).unwrap();
+        }
+    }
+
     fn point(&self) -> Value {
         lrc_json::parse(&fs::read_to_string(self.root.join("point.json")).unwrap()).unwrap()
     }
@@ -209,13 +216,152 @@ fn an_unusable_setup_is_a_usage_error_before_any_run() {
         .args(["--workload", "check-lazy"])
         .output()
         .unwrap();
-    for (case, out) in [
-        ("differing BENCHMARK.json", differing),
-        ("missing checkout", missing),
-        ("--pairs 0", lab.ab(&["--pairs", "0"])),
-        ("unknown workload", lab.ab(&["--workload", "nope"])),
+    let mut cases = vec![
+        ("differing BENCHMARK.json", differing, ""),
+        ("missing checkout", missing, ""),
+        ("--pairs 0", lab.ab(&["--pairs", "0"]), ""),
+        ("unknown workload", lab.ab(&["--workload", "nope"]), ""),
+    ];
+    // A BENCHMARK.json that `ab` cannot use: each case names its field.
+    let metrics = &BENCHMARK[BENCHMARK.find("\"end_to_end\"").unwrap()..BENCHMARK.rfind('}').unwrap()];
+    for (case, from, to, field) in [
+        ("run_seconds 0", "\"run_seconds\": 25", "\"run_seconds\": 0", "run_seconds"),
+        ("no end_to_end metric", metrics, "\"end_to_end\": []\n", "end_to_end"),
+        ("a negative bound", "\"bound\": 0.25", "\"bound\": -0.5", "run_s: bound"),
+        ("an infinite bound", "\"bound\": 0.25", "\"bound\": 1e999", "run_s: bound"),
     ] {
-        assert_eq!(out.status.code(), Some(2), "{case}: {}", String::from_utf8_lossy(&out.stderr));
+        let text = BENCHMARK.replacen(from, to, 1);
+        assert!(lrc_json::parse(&text).is_ok(), "{case}: {text}");
+        lab.benchmark(text.as_bytes());
+        cases.push((case, lab.ab(&[]), field));
+    }
+    for (case, out, field) in cases {
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{case}: {stderr}");
+        assert!(stderr.contains(field), "{case} names {field}: {stderr}");
     }
     assert!(lab.order().is_empty(), "no run starts: {:?}", lab.order());
+}
+
+/// A stub result and its provenance, as perfbench prints them.
+const LINES: &str = concat!(
+    r#"{"perfbench":{"provenance":{"git_commit":"c","definition_hash":"d","host_cpus":2}}}"#,
+    "\n",
+    r#"{"correct":true,"attempted":3,"failed":0,"metrics":{"run_s":{"value":2},"#,
+    r#""peak_rss_mib":{"value":100},"sim_mcycles_per_s":{"value":50}}}"#,
+    "\n"
+);
+
+/// One seeded mutant of `text`, one JSON document or (`per_line`) one per
+/// line: truncated, a bit flipped, two siblings' values swapped, or a
+/// numeric leaf replaced by 0, 1, -1, 2^53, 10^12 or 1e999 (the last parses
+/// as infinity).
+fn mutant(text: &str, per_line: bool, rng: &mut lrc_sim::Rng) -> Vec<u8> {
+    let docs = if per_line { text.lines().collect() } else { vec![text] };
+    let docs: Vec<Value> = docs.into_iter().map(|d| lrc_json::parse(d).unwrap()).collect();
+    let mut bytes = text.as_bytes().to_vec();
+    match rng.below(4) {
+        0 => bytes.truncate(rng.below(bytes.len() as u64) as usize),
+        1 => bytes[rng.below(text.len() as u64) as usize] ^= 1 << rng.below(8),
+        op => {
+            // Every array or object with two children (for a swap), or
+            // every number (for a leaf), as a path of child indices.
+            fn paths(v: &Value, at: &mut Vec<usize>, swap: bool, out: &mut Vec<Vec<usize>>) {
+                let kids: Vec<&Value> = match v {
+                    Value::Array(items) => items.iter().collect(),
+                    Value::Object(fields) => fields.iter().map(|(_, x)| x).collect(),
+                    Value::Num(_) if !swap => return out.push(at.clone()),
+                    _ => return,
+                };
+                if swap && kids.len() >= 2 {
+                    out.push(at.clone());
+                }
+                for (i, kid) in kids.into_iter().enumerate() {
+                    at.push(i);
+                    paths(kid, at, swap, out);
+                    at.pop();
+                }
+            }
+            fn node<'a>(v: &'a mut Value, path: &[usize]) -> &'a mut Value {
+                path.iter().fold(v, |v, &i| match v {
+                    Value::Array(items) => &mut items[i],
+                    Value::Object(fields) => &mut fields[i].1,
+                    _ => unreachable!("paths lead through containers"),
+                })
+            }
+            let mut docs = docs;
+            let d = rng.below(docs.len() as u64) as usize;
+            let mut found = Vec::new();
+            paths(&docs[d], &mut Vec::new(), op == 2, &mut found);
+            if !found.is_empty() {
+                let target = node(&mut docs[d], &found[rng.below(found.len() as u64) as usize]);
+                let literal = ["0", "1", "-1", "9007199254740992", "1000000000000", "1e999"];
+                match target {
+                    Value::Array(items) => {
+                        let (i, j) = (rng.below(items.len() as u64), rng.below(items.len() as u64));
+                        items.swap(i as usize, j as usize);
+                    }
+                    Value::Object(fields) => {
+                        let (i, j) = (rng.below(fields.len() as u64), rng.below(fields.len() as u64));
+                        let vi = std::mem::replace(&mut fields[i as usize].1, Value::Null);
+                        fields[i as usize].1 = std::mem::replace(&mut fields[j as usize].1, vi);
+                    }
+                    leaf => *leaf = Value::Str("@leaf@".into()),
+                }
+                let lit = literal[rng.below(literal.len() as u64) as usize];
+                let lines: Vec<String> =
+                    docs.iter().map(|v| v.dump().replace("\"@leaf@\"", lit) + "\n").collect();
+                bytes = lines.concat().into_bytes();
+            }
+        }
+    }
+    bytes
+}
+
+/// Seeded mutants of what `ab` reads: the benchmark definition (the same
+/// mutant on both sides) and one side's provenance and result lines. Each
+/// runs one pair and must end as a usage error, a named failed run, or a
+/// point written with exit 0 or 1; never a panic.
+#[test]
+fn mutated_benchmarks_and_result_lines_never_panic_ab() {
+    let lab = Lab::new("mutants", "", "");
+    for side in ["parent", "change"] {
+        fs::write(lab.root.join(side).join("stub.sh"), "cat lines.txt\n").unwrap();
+    }
+    let mut rng = lrc_sim::Rng::new(0xab_0001);
+    let mut outcomes = [0; 4];
+    for i in 0..240 {
+        let (bench, lines) = if i % 2 == 0 {
+            (mutant(BENCHMARK, false, &mut rng), LINES.as_bytes().to_vec())
+        } else {
+            (BENCHMARK.as_bytes().to_vec(), mutant(LINES, true, &mut rng))
+        };
+        lab.benchmark(&bench);
+        let mutated = ["parent", "change"][rng.below(2) as usize];
+        for side in ["parent", "change"] {
+            let text = if side == mutated { &lines } else { LINES.as_bytes() };
+            fs::write(lab.root.join(side).join("lines.txt"), text).unwrap();
+        }
+        let _ = fs::remove_file(lab.root.join("point.json"));
+        let out = lab.ab(&["--pairs", "1"]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let written = lab.root.join("point.json").exists();
+        let shown = format!(
+            "mutant {i}: exit {:?}\n{}\n{}\n{stderr}",
+            out.status.code(),
+            String::from_utf8_lossy(&bench),
+            String::from_utf8_lossy(&lines)
+        );
+        let k = match out.status.code() {
+            Some(0) if written => 0,
+            Some(1) if written => 1,
+            Some(1) if stderr.contains(" run of pair 0 (seed ") && stderr.contains(") failed: ") => 2,
+            Some(2) => 3,
+            _ => panic!("{shown}"),
+        };
+        outcomes[k] += 1;
+    }
+    // Usage errors, failed runs and points all occur, so the mutants reach
+    // past the definition.
+    assert!(outcomes[0] + outcomes[1] > 0 && outcomes[2] > 0 && outcomes[3] > 0, "{outcomes:?}");
 }

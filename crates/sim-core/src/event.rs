@@ -57,39 +57,63 @@ const WORDS: usize = HORIZON / 64;
 /// Queues at or below this many pending events use the flat bottom tier.
 const TINY_MAX: usize = 64;
 
-/// Insert `(key, event)` into a key-sorted same-cycle run. Keys are
-/// near-monotone in practice, so a backward scan from the tail beats
-/// binary search. Strict `>` keeps insertion order for equal keys.
-#[inline]
-fn insert_by_key<E>(run: &mut VecDeque<(u64, E)>, key: u64, event: E) {
-    let mut at = run.len();
-    while at > 0 && run[at - 1].0 > key {
-        at -= 1;
-    }
-    run.insert(at, (key, event));
+/// One arena slot: a pending event and the link to the next node of its
+/// list, or a freed slot (`ev` is `None`) linked into the free list.
+#[derive(Debug, Clone)]
+struct Node<E> {
+    key: u64,
+    next: u32,
+    ev: Option<E>,
 }
 
-/// Calendar tier: the bucketed window plus the far-future overflow rung.
+/// A key-sorted singly linked list of arena nodes, equal keys in arrival
+/// order. `u32::MAX` links nowhere: an empty list has it as head and tail.
+#[derive(Debug, Clone, Copy)]
+struct List {
+    head: u32,
+    tail: u32,
+}
+
+impl List {
+    const fn empty() -> Self {
+        List { head: u32::MAX, tail: u32::MAX }
+    }
+
+    fn is_empty(self) -> bool {
+        self.head == u32::MAX
+    }
+}
+
+/// Calendar tier: the bucketed window plus the far-future overflow rung,
+/// both holding lists of nodes in one arena.
 #[derive(Debug, Clone)]
 struct Calendar<E> {
-    /// `buckets[t % HORIZON]` holds the key-sorted run of events at window
-    /// time `t`.
-    buckets: Vec<VecDeque<(u64, E)>>,
+    /// Every pending event's node, plus freed slots awaiting reuse.
+    nodes: Vec<Node<E>>,
+    /// Head of the last-in-first-out list of freed slots.
+    free: u32,
+    /// `buckets[t % HORIZON]` lists the events at window time `t`.
+    buckets: Vec<List>,
     /// One bit per bucket: set iff the bucket is non-empty.
     occupied: [u64; WORDS],
     /// Low edge of the calendar window; never decreases.
     window_lo: Cycle,
-    /// Far-future rung: time -> key-sorted run of events at that time.
-    overflow: BTreeMap<Cycle, VecDeque<(u64, E)>>,
+    /// Far-future rung: time -> the events at that time.
+    overflow: BTreeMap<Cycle, List>,
+    /// The overflow rung's earliest time (`Cycle::MAX` when it is empty).
+    next_overflow: Cycle,
 }
 
 impl<E> Calendar<E> {
     fn new(window_lo: Cycle) -> Self {
         Calendar {
-            buckets: (0..HORIZON).map(|_| VecDeque::new()).collect(),
+            nodes: Vec::new(),
+            free: u32::MAX,
+            buckets: vec![List::empty(); HORIZON],
             occupied: [0; WORDS],
             window_lo,
             overflow: BTreeMap::new(),
+            next_overflow: Cycle::MAX,
         }
     }
 
@@ -111,6 +135,7 @@ impl<E> Calendar<E> {
 
     /// Index of the earliest non-empty bucket (circular bitmap scan starting
     /// at the window's low edge), or `None` if all buckets are empty.
+    #[inline]
     fn first_bucket(&self) -> Option<usize> {
         let start = (self.window_lo & MASK) as usize;
         let (sw, sb) = (start / 64, start % 64);
@@ -149,104 +174,143 @@ impl<E> Calendar<E> {
         })
     }
 
-    /// Every pending `(time, key, event)`, in (time, key) order.
-    fn entries(&self) -> impl Iterator<Item = (Cycle, u64, &E)> + '_ {
-        let window = self.occupied_buckets().flat_map(move |idx| {
-            let t = self.bucket_time(idx);
-            self.buckets[idx].iter().map(move |(k, ev)| (t, *k, ev))
-        });
-        let far = self.overflow.iter();
-        window.chain(far.flat_map(|(&t, run)| run.iter().map(move |(k, ev)| (t, *k, ev))))
+    /// The nodes of `list`, head to tail.
+    fn walk(&self, list: List) -> impl Iterator<Item = &Node<E>> + '_ {
+        let mut at = list.head;
+        std::iter::from_fn(move || {
+            let node = self.nodes.get(at as usize)?;
+            at = node.next;
+            Some(node)
+        })
     }
 
-    /// Earliest pending time, or `None` when the calendar is empty.
-    fn min_time(&self) -> Option<Cycle> {
-        match self.first_bucket() {
-            Some(idx) => Some(self.bucket_time(idx)),
-            None => self.overflow.first_key_value().map(|(&t, _)| t),
-        }
+    /// Every pending `(time, key, event)`, in (time, key) order.
+    fn entries(&self) -> impl Iterator<Item = (Cycle, u64, &E)> + '_ {
+        let window = self.occupied_buckets().map(|idx| (self.bucket_time(idx), self.buckets[idx]));
+        let lists = window.chain(self.overflow.iter().map(|(&t, &list)| (t, list)));
+        lists.flat_map(move |(t, list)| {
+            self.walk(list).map(move |n| (t, n.key, n.ev.as_ref().expect("listed node is live")))
+        })
+    }
+
+    /// Earliest pending time (`Cycle::MAX` when the calendar is empty).
+    fn min_time(&self) -> Cycle {
+        self.first_bucket().map_or(self.next_overflow, |idx| self.bucket_time(idx))
     }
 
     /// Slide the window's low edge up to `t` (the caller guarantees every
-    /// pending event's time is `>= t`) and migrate overflow entries that the
-    /// move brings inside the horizon. Each event migrates at most once.
+    /// pending event's time is `>= t`) and move each overflow list that the
+    /// move brings inside the horizon, whole, into its (necessarily empty)
+    /// bucket.
     fn advance_window(&mut self, t: Cycle) {
         debug_assert!(t >= self.window_lo);
-        if t == self.window_lo {
-            return;
-        }
         self.window_lo = t;
-        let horizon_end = t + HORIZON as Cycle;
-        while let Some(entry) = self.overflow.first_entry() {
-            if *entry.key() >= horizon_end {
-                break;
-            }
-            let (time, mut run) = entry.remove_entry();
+        while self.next_overflow < t + HORIZON as Cycle {
+            let (time, list) = self.overflow.pop_first().expect("cached time is pending");
             let idx = (time & MASK) as usize;
             debug_assert!(self.buckets[idx].is_empty(), "bucket collision at t={time}");
-            self.buckets[idx].append(&mut run);
+            self.buckets[idx] = list;
             self.mark(idx);
+            self.next_overflow = self.overflow.first_key_value().map_or(Cycle::MAX, |(&t, _)| t);
         }
     }
 
     /// Insert `event` at `(time, key)` (`time >= window_lo` — the queue
-    /// clamps to `now` first, and `now` never trails the window).
+    /// clamps to `now` first, and `now` never trails the window). The node
+    /// reuses the slot the last pop freed, and joins its list at the tail
+    /// unless the tail's key is larger.
     fn insert(&mut self, time: Cycle, key: u64, event: E) {
-        if time < self.window_lo + HORIZON as Cycle {
-            let idx = (time & MASK) as usize;
-            insert_by_key(&mut self.buckets[idx], key, event);
-            self.mark(idx);
+        let node = Node { key, next: u32::MAX, ev: Some(event) };
+        let at = if let Some(slot) = self.nodes.get_mut(self.free as usize) {
+            let at = self.free;
+            self.free = slot.next;
+            *slot = node;
+            at
         } else {
-            insert_by_key(self.overflow.entry(time).or_default(), key, event);
+            self.nodes.push(node);
+            (self.nodes.len() - 1) as u32
+        };
+        let list = if time < self.window_lo + HORIZON as Cycle {
+            let idx = (time & MASK) as usize;
+            self.mark(idx);
+            &mut self.buckets[idx]
+        } else {
+            self.next_overflow = self.next_overflow.min(time);
+            self.overflow.entry(time).or_insert(List::empty())
+        };
+        let nodes = &mut self.nodes;
+        if list.is_empty() {
+            *list = List { head: at, tail: at };
+        } else if nodes[list.tail as usize].key <= key {
+            nodes[list.tail as usize].next = at;
+            list.tail = at;
+        } else {
+            // The tail's key is larger, so the walk stops before the tail.
+            let (mut prev, mut cur) = (u32::MAX, list.head);
+            while nodes[cur as usize].key <= key {
+                (prev, cur) = (cur, nodes[cur as usize].next);
+            }
+            nodes[at as usize].next = cur;
+            match nodes.get_mut(prev as usize) {
+                Some(p) => p.next = at,
+                None => list.head = at,
+            }
         }
     }
 
-    /// Remove the earliest event, sliding the window to its time.
-    fn pop_earliest(&mut self) -> Option<(Cycle, E)> {
-        let t = self.min_time()?;
-        self.advance_window(t);
+    /// Unlink the `pos`-th node of the list at time `t` (`pos` in range),
+    /// free its slot and return its event.
+    fn remove(&mut self, t: Cycle, pos: usize) -> E {
+        let in_window = t < self.window_lo + HORIZON as Cycle;
         let idx = (t & MASK) as usize;
-        let (_, ev) = self.buckets[idx].pop_front().expect("earliest bucket non-empty");
-        if self.buckets[idx].is_empty() {
-            self.unmark(idx);
+        let list = match in_window {
+            true => &mut self.buckets[idx],
+            false => self.overflow.get_mut(&t).expect("overflow list exists"),
+        };
+        let nodes = &mut self.nodes;
+        let (mut prev, mut at) = (u32::MAX, list.head);
+        for _ in 0..pos {
+            (prev, at) = (at, nodes[at as usize].next);
         }
-        Some((t, ev))
+        let next = nodes[at as usize].next;
+        match nodes.get_mut(prev as usize) {
+            Some(p) => p.next = next,
+            None => list.head = next,
+        }
+        if list.tail == at {
+            list.tail = prev;
+        }
+        if list.is_empty() {
+            if in_window {
+                self.unmark(idx);
+            } else {
+                self.overflow.remove(&t);
+                self.next_overflow = self.overflow.first_key_value().map_or(Cycle::MAX, |(&t, _)| t);
+            }
+        }
+        let slot = &mut self.nodes[at as usize];
+        slot.next = self.free;
+        self.free = at;
+        slot.ev.take().expect("listed node is live")
+    }
+
+    /// Remove the earliest event if its time is below `limit`, sliding the
+    /// window to that time.
+    #[inline]
+    fn pop_before(&mut self, limit: Cycle) -> Option<(Cycle, E)> {
+        let t = self.min_time();
+        if t >= limit {
+            return None;
+        }
+        self.advance_window(t);
+        Some((t, self.remove(t, 0)))
     }
 
     /// Remove the `n`-th event in (time, key) order (`n` in range).
-    fn remove_nth(&mut self, mut n: usize) -> (Cycle, E) {
-        let mut hit = None;
-        for idx in self.occupied_buckets() {
-            let len = self.buckets[idx].len();
-            if n < len {
-                hit = Some(idx);
-                break;
-            }
-            n -= len;
-        }
-        if let Some(idx) = hit {
-            let t = self.bucket_time(idx);
-            let (_, ev) = self.buckets[idx].remove(n).expect("index checked");
-            if self.buckets[idx].is_empty() {
-                self.unmark(idx);
-            }
-            return (t, ev);
-        }
-        let mut hit: Option<Cycle> = None;
-        for (&t, run) in &self.overflow {
-            if n < run.len() {
-                hit = Some(t);
-                break;
-            }
-            n -= run.len();
-        }
-        let t = hit.expect("pop_nth index within overflow");
-        let run = self.overflow.get_mut(&t).expect("overflow rung exists");
-        let (_, ev) = run.remove(n).expect("index checked");
-        if run.is_empty() {
-            self.overflow.remove(&t);
-        }
-        (t, ev)
+    fn remove_nth(&mut self, n: usize) -> (Cycle, E) {
+        let (t, ..) = self.entries().nth(n).expect("pop_nth index in range");
+        let before = self.entries().take_while(|&(u, ..)| u < t).count();
+        (t, self.remove(t, n - before))
     }
 }
 
@@ -351,12 +415,23 @@ impl<E> EventQueue<E> {
     /// advanced past this event's scheduled time, the event fires "late" at
     /// the current time.
     pub fn pop(&mut self) -> Option<(Cycle, E)> {
+        self.pop_before(Cycle::MAX)
+    }
+
+    /// [`EventQueue::pop`], but only if the earliest event's scheduled
+    /// time is below `limit`; otherwise the queue is left as it is. One
+    /// scan both finds the earliest event and removes it.
+    #[inline]
+    pub fn pop_before(&mut self, limit: Cycle) -> Option<(Cycle, E)> {
         let (t, ev) = match &mut self.tier {
             Tier::Tiny(flat) => {
+                if flat.front()?.0 >= limit {
+                    return None;
+                }
                 let (t, _, ev) = flat.pop_front()?;
                 (t, ev)
             }
-            Tier::Calendar(cal) => cal.pop_earliest()?,
+            Tier::Calendar(cal) => cal.pop_before(limit)?,
         };
         self.len -= 1;
         self.now = self.now.max(t);
@@ -372,9 +447,8 @@ impl<E> EventQueue<E> {
     /// current time (time is monotone even under out-of-order firing).
     /// Returns `None` when fewer than `n + 1` events are pending.
     ///
-    /// Cost: O(n) on the flat tier; on the calendar, O(HORIZON/64) to scan
-    /// the occupancy bitmap plus O(k) to splice the event out of its rung
-    /// (k = its position there).
+    /// Cost: O(n) on both tiers (the calendar walks its lists up to the
+    /// event, then splices it out of its own).
     pub fn pop_nth(&mut self, n: usize) -> Option<(Cycle, E)> {
         if n >= self.len {
             return None;
@@ -391,8 +465,7 @@ impl<E> EventQueue<E> {
                 // Keep the window hugging the earliest pending event so
                 // overflow migration stays amortized even when firing
                 // out of order.
-                let t_min = cal.min_time().expect("len > 0");
-                cal.advance_window(t_min);
+                cal.advance_window(cal.min_time());
                 cal.remove_nth(n)
             }
         };
@@ -455,14 +528,6 @@ impl<E> EventQueue<E> {
         q.now = now;
         q.peak_len = peak_len;
         q
-    }
-
-    /// Firing time of the earliest pending event, if any.
-    pub fn peek_time(&self) -> Option<Cycle> {
-        match &self.tier {
-            Tier::Tiny(flat) => flat.front().map(|&(t, ..)| t),
-            Tier::Calendar(cal) => cal.min_time(),
-        }
     }
 
     /// Number of pending events.
@@ -632,15 +697,38 @@ mod tests {
     }
 
     #[test]
-    fn peek_time_matches_next_pop() {
+    fn pop_before_pops_only_below_its_limit() {
         let mut q = EventQueue::new();
         q.push(42, 0, 1);
         q.push(41, 0, 2);
+        q.push(2000, 0, 3); // overflow rung once promoted
         for q in [&mut promoted(q.clone()), &mut q] {
-            assert_eq!(q.peek_time(), Some(41));
-            assert_eq!(q.pop(), Some((41, 2)));
-            assert_eq!(q.peek_time(), Some(42));
+            assert_eq!(q.pop_before(41), None);
+            assert_eq!(q.pop_before(42), Some((41, 2)));
+            assert_eq!(q.pop_before(42), None);
+            assert_eq!(q.pop_before(43), Some((42, 1)));
+            assert_eq!(q.pop_before(2000), None);
+            assert_eq!((q.len(), q.now()), (1, 42));
+            assert_eq!(q.pop_before(Cycle::MAX), Some((2000, 3)));
+            assert_eq!(q.pop_before(Cycle::MAX), None);
         }
+    }
+
+    #[test]
+    fn a_list_whose_tail_was_removed_appends_after_the_new_tail() {
+        let mut q = promoted(EventQueue::new());
+        for (k, v) in [(1, "a"), (2, "b"), (3, "c")] {
+            q.push(7, k, v);
+            q.push(900, k, v); // the same run on the overflow rung
+        }
+        assert_eq!(q.pop_nth(5), Some((900, "c")));
+        assert_eq!(q.pop_nth(2), Some((900, "c")));
+        q.push(900, 3, "d");
+        q.push(900, 2, "e");
+        let Tier::Calendar(cal) = &q.tier else { panic!("still calendar") };
+        assert_eq!(cal.free, u32::MAX, "both freed slots were reused");
+        let rest: Vec<_> = std::iter::from_fn(|| q.pop()).collect();
+        assert_eq!(rest, [(900, "a"), (900, "b"), (900, "a"), (900, "b"), (900, "e"), (900, "d")]);
     }
 
     #[test]

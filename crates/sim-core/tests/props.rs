@@ -149,8 +149,16 @@ impl RefQueue {
         all.into_iter().map(|(t, ..)| t).collect()
     }
 
+    /// The scheduled time of the earliest event.
     fn peek_time(&self) -> Option<u64> {
         self.heap.peek().map(|&std::cmp::Reverse((t, ..))| t)
+    }
+
+    fn pop_before(&mut self, limit: u64) -> Option<(u64, u32)> {
+        if self.peek_time()? >= limit {
+            return None;
+        }
+        self.pop()
     }
 }
 
@@ -196,7 +204,6 @@ fn event_queue_matches_binary_heap_reference() {
                 }
                 _ => {
                     assert_eq!(q.len(), r.heap.len());
-                    assert_eq!(q.peek_time(), r.peek_time());
                     assert_eq!(q.pending_times(), r.pending_times());
                 }
             }
@@ -209,5 +216,116 @@ fn event_queue_matches_binary_heap_reference() {
                 break;
             }
         }
+    }
+}
+
+/// Drive the queue and the reference through `ops` seeded steps shaped
+/// like a simulation's pushes: per-node tie keys that mostly rise, a
+/// pending depth that wanders between 50 and 5,000, and delays drawn from
+/// the measured mix (a few percent same-cycle; about 10% past the
+/// 512-cycle horizon, half of those 4,096-16,383 cycles ahead like the link
+/// layer's retry timers). Rarer steps pop below a limit at, under and over
+/// the next event's time, push bursts of 100-300 events at one time with
+/// repeated keys inside the window and past the horizon, `pop_nth` the
+/// last event of a time and append to that time, and rebuild the queue
+/// with `from_entries` from a shuffled `pending_entries` listing.
+fn arena_matches_reference(seed: u64, ops: usize) {
+    let mut rng = Rng::new(seed);
+    let mut q: EventQueue<u32> = EventQueue::new();
+    let mut r = RefQueue::new();
+    let mut counters = [0u64; 64];
+    let mut next_payload = 0u32;
+    let mut target = 60;
+    let mut push = |q: &mut EventQueue<u32>, r: &mut RefQueue, t: u64, k: u64| {
+        q.push(t, k, next_payload);
+        r.push(t, k, next_payload);
+        next_payload += 1;
+    };
+    for step in 0..ops {
+        if step % 10_000 == 0 {
+            target = 50 + rng.below(4_951) as usize;
+        }
+        let roll = rng.below(10_000);
+        if roll < 4 {
+            // A burst at one time, in the window or past the horizon.
+            let t = q.now() + if roll < 2 { rng.below(400) } else { 600 + rng.below(15_000) };
+            for _ in 0..100 + rng.below(201) {
+                push(&mut q, &mut r, t, rng.below(8));
+            }
+        } else if roll < 84 {
+            let next = r.peek_time().unwrap_or(0);
+            let limit = match rng.below(3) {
+                0 => next,
+                1 => next.saturating_sub(1 + rng.below(50)),
+                _ => next + 1 + rng.below(50),
+            };
+            assert_eq!(q.pop_before(limit), r.pop_before(limit), "step {step}");
+        } else if roll < 124 && !q.is_empty() {
+            // Remove the last event of some pending time, then append there.
+            let times = q.pending_times();
+            let t = times[rng.below(times.len() as u64) as usize];
+            let last = times.iter().rposition(|&u| u == t).expect("t is pending");
+            assert_eq!(q.pop_nth(last), r.pop_nth(last), "step {step}");
+            let t = t.max(q.now());
+            push(&mut q, &mut r, t, rng.below(8));
+        } else if roll < 134 {
+            let mut listing: Vec<(u64, u64, u32)> =
+                q.pending_entries().into_iter().map(|(t, k, &v)| (t, k, v)).collect();
+            assert_eq!(listing.iter().map(|e| e.0).collect::<Vec<_>>(), r.pending_times());
+            // Shuffle, then give each (time, key) group its arrival order
+            // back: only the order of distinct (time, key) pairs is free.
+            let mut groups = std::collections::BTreeMap::<(u64, u64), Vec<u32>>::new();
+            for &(t, k, v) in listing.iter().rev() {
+                groups.entry((t, k)).or_default().push(v);
+            }
+            for i in (1..listing.len()).rev() {
+                listing.swap(i, rng.below(i as u64 + 1) as usize);
+            }
+            for e in &mut listing {
+                e.2 = groups.get_mut(&(e.0, e.1)).and_then(Vec::pop).expect("group entry");
+            }
+            q = EventQueue::from_entries(listing, q.now(), q.peak_len());
+        } else if roll < if q.len() < target { 6_500 } else { 4_500 } {
+            let delay = match rng.below(100) {
+                0..=3 => 0,
+                4..=89 => {
+                    // Short delays are the common ones.
+                    let cap = 1 + rng.below(400);
+                    rng.below(cap)
+                }
+                90..=94 => 512 + rng.below(3_584),
+                _ => 4_096 + rng.below(12_288),
+            };
+            let node = rng.below(64) as usize;
+            // Keys mostly rise per node; now and then one repeats.
+            counters[node] += u64::from(rng.below(8) != 0);
+            let t = q.now() + delay;
+            push(&mut q, &mut r, t, (node as u64) << 48 | counters[node]);
+        } else {
+            assert_eq!(q.pop(), r.pop(), "step {step}");
+        }
+        assert_eq!((q.len(), q.now()), (r.heap.len(), r.now), "step {step}");
+    }
+    // The depth wandered well past the flat tier.
+    assert!(q.peak_len() > 1_000, "peak {}", q.peak_len());
+    while let Some(ev) = r.pop() {
+        assert_eq!(q.pop(), Some(ev));
+    }
+    assert_eq!(q.pop(), None);
+}
+
+#[test]
+fn event_queue_matches_reference_under_bursts_limits_and_rebuilds() {
+    for seed in 0..8 {
+        arena_matches_reference(0x5eed_0007 + seed, 20_000);
+    }
+}
+
+/// The long sweep: `cargo test --release -p lrc-sim --test props -- --ignored`.
+#[test]
+#[ignore]
+fn event_queue_long_sweep_matches_reference() {
+    for seed in 0..4 {
+        arena_matches_reference(0x5eed_1000 + seed, 300_000);
     }
 }

@@ -22,6 +22,8 @@
 #   mutation sweep — the snapshot decoder's ignored long sweep in
 #             release: 3,000 seeded mutants of snapshots that carry the
 #             race detector's and the value tracker's tables
+#   queue sweep — the event queue's ignored long sweep in release:
+#             1.2 million seeded steps against a reference binary heap
 #   perfbench — the benchmark crate (its own workspace) builds against the
 #             changed crates and its tests pass
 #   bench A/B — lrc-bench ab runs the benchmark's own command on both
@@ -131,6 +133,13 @@ stage "mutation sweep: 3,000 mutants of snapshots with both trackers armed"
 # Every mutant must restore or fail with a typed SnapshotError: a panic,
 # or a key past the address space sizing a table, fails the stage.
 cargo test --release --offline --test snapshot_restore -- --ignored
+
+stage "queue sweep: 1.2 million event-queue steps against a reference heap"
+# Tier 2 runs 160,000 steps; this runs 1.2 million, with delays drawn from
+# the simulations' measured mix, bursts of equal keys at one time inside
+# the window and past the horizon, pops below a limit, out-of-order
+# removals and rebuilds from a shuffled listing. Every pop must match.
+cargo test --release --offline -p lrc-sim --test props -- --ignored
 
 stage "perfbench: build and test the benchmark crate"
 # perfbench calls the crates' public APIs by path (MachineSnapshot's
