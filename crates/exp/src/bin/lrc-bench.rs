@@ -42,10 +42,13 @@
 //! run or after the last, since perfbench names the commit `HEAD` and
 //! builds the working tree (`null` when git cannot tell).
 //!
-//! Exit status: 2 on a usage error or an unusable `BENCHMARK.json`; 1 when
-//! a run fails (exits non-zero, prints `"correct": false` or a malformed
-//! last line; `ab` stops there), a metric reads `worse`, or the change fails
-//! a larger share of its iterations; 0 otherwise.
+//! Exit status: 2 on a usage error or an unusable `BENCHMARK.json` (one
+//! that does not decode, differs between the sides, has an empty
+//! `command`, `run_seconds` 0, no `end_to_end` metric, or a `bound` that is
+//! negative or not finite), before any run; 1 when a run fails (exits
+//! non-zero, prints `"correct": false` or a malformed last line; `ab` stops
+//! there), a metric reads `worse`, or the change fails a larger share of
+//! its iterations; 0 otherwise.
 
 #![forbid(unsafe_code)]
 

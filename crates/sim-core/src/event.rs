@@ -17,26 +17,36 @@
 //! `[window_lo, window_lo + HORIZON)`; an event at time `t` in the window
 //! lives in bucket `t % HORIZON`. Because the bucket width is one cycle,
 //! every bucket holds events of exactly one time value, so each bucket is
-//! simply kept sorted by key (a backward scan from the tail — same-cycle
-//! runs are short and near-sorted). An occupancy bitmap (one bit per
-//! bucket) finds the next non-empty bucket in a handful of word scans, and
-//! `pop` slides the window up to each fired time so the full horizon always
-//! extends ahead of `now`.
+//! simply a key-sorted list. An occupancy bitmap (one bit per bucket) finds
+//! the next non-empty bucket in a handful of word scans, and a pop slides
+//! the window up to each fired time so the full horizon always extends
+//! ahead of `now`.
 //!
-//! The rare far-future event (beyond the window) goes to a sorted overflow
-//! rung — a `BTreeMap` keyed by time, holding a key-sorted run per time
-//! value. Window invariants: every bucketed event's time is in
+//! Every calendar event lives in one arena of nodes (key, link, event);
+//! a bucket is the head and tail index of a singly linked list through it.
+//! A push appends when the tail's key is at most its own, as about two
+//! thirds of an LRC run's pushes do, and otherwise walks the list from the
+//! head; equal keys stay in arrival order. A pop frees its node onto a
+//! last-in-first-out free list, so the next push reuses it while it is
+//! still in cache, and the queue allocates nothing once the arena has
+//! reached the run's peak depth.
+//!
+//! The far-future event (beyond the window: a few percent of pushes, and
+//! the link layer's retry timers) goes to an overflow rung, a `BTreeMap`
+//! from time to that time's list, whose earliest time is cached. Window
+//! invariants: every bucketed event's time is in
 //! `[window_lo, window_lo + HORIZON)` and every overflow time is
 //! `>= window_lo + HORIZON`, so all bucketed events fire before all
-//! overflow events; sliding the window migrates newly-in-window overflow
-//! entries into their (necessarily empty) buckets, at most once per event.
+//! overflow events; sliding the window moves each newly-in-window overflow
+//! list, whole, into its (necessarily empty) bucket.
 //!
 //! Queues that never grow past `TINY_MAX` (64) pending events — the model
 //! checker's scenario machines, unit-test scripts — instead stay on a flat
 //! bottom tier: one (time, key)-sorted deque. That keeps `Machine::clone`
 //! (which the checker performs for nearly every child it explores) a
-//! single small memcpy instead of a 512-bucket traversal. The first push that would exceed `TINY_MAX`
-//! promotes the queue to the calendar for the rest of its life.
+//! single small memcpy instead of a 512-bucket traversal. The first push
+//! that would exceed `TINY_MAX` promotes the queue to the calendar for the
+//! rest of its life.
 //!
 //! Both tiers list their pending entries through one in-place walk
 //! ([`EventQueue::iter_pending`], and the collected
@@ -75,7 +85,7 @@ struct List {
 }
 
 impl List {
-    const fn empty() -> Self {
+    fn empty() -> Self {
         List { head: u32::MAX, tail: u32::MAX }
     }
 
@@ -211,8 +221,12 @@ impl<E> Calendar<E> {
             debug_assert!(self.buckets[idx].is_empty(), "bucket collision at t={time}");
             self.buckets[idx] = list;
             self.mark(idx);
-            self.next_overflow = self.overflow.first_key_value().map_or(Cycle::MAX, |(&t, _)| t);
+            self.recache_next_overflow();
         }
+    }
+
+    fn recache_next_overflow(&mut self) {
+        self.next_overflow = self.overflow.first_key_value().map_or(Cycle::MAX, |(&t, _)| t);
     }
 
     /// Insert `event` at `(time, key)` (`time >= window_lo` — the queue
@@ -263,9 +277,10 @@ impl<E> Calendar<E> {
     fn remove(&mut self, t: Cycle, pos: usize) -> E {
         let in_window = t < self.window_lo + HORIZON as Cycle;
         let idx = (t & MASK) as usize;
-        let list = match in_window {
-            true => &mut self.buckets[idx],
-            false => self.overflow.get_mut(&t).expect("overflow list exists"),
+        let list = if in_window {
+            &mut self.buckets[idx]
+        } else {
+            self.overflow.get_mut(&t).expect("overflow list exists")
         };
         let nodes = &mut self.nodes;
         let (mut prev, mut at) = (u32::MAX, list.head);
@@ -285,7 +300,7 @@ impl<E> Calendar<E> {
                 self.unmark(idx);
             } else {
                 self.overflow.remove(&t);
-                self.next_overflow = self.overflow.first_key_value().map_or(Cycle::MAX, |(&t, _)| t);
+                self.recache_next_overflow();
             }
         }
         let slot = &mut self.nodes[at as usize];
