@@ -29,8 +29,13 @@
 //! has been told the block is weak") and the in-flight acknowledgement
 //! collection used when a weak transition fans out write notices (the paper
 //! collects acks at the home and acknowledges all pending writers at once).
+//! Under the eager protocols it is the line's whole home record: the 3-hop
+//! forward in flight, the requests queued behind a busy entry, and the
+//! BUSY-NACKs the current busy episode has sent.
 
-use lrc_sim::NodeId;
+use crate::msg::Msg;
+use lrc_sim::{Cycle, NodeId};
+use std::collections::VecDeque;
 
 /// A set of node ids, wide enough for the largest supported machine
 /// (256 nodes — a 16×16 mesh). Semantically a plain bitmask; it replaces
@@ -235,7 +240,18 @@ impl AckCollection {
     }
 }
 
-/// Directory entry for one block.
+/// Bookkeeping for one eager 3-hop forward episode.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct ForwardEp {
+    pub id: u64,
+    pub owner: NodeId,
+    pub requester: NodeId,
+    pub for_write: bool,
+    /// The owner has already supplied the data (CopyBack in flight).
+    pub served: bool,
+}
+
+/// Directory entry for one block: its home's whole record of the line.
 #[derive(Debug, Clone, Default)]
 pub struct DirEntry {
     sharers: NodeSet,
@@ -243,11 +259,23 @@ pub struct DirEntry {
     notified: NodeSet,
     /// Outstanding ack collection, if any.
     pub pending: Option<AckCollection>,
-    /// A 3-hop forward is in flight (eager protocols): the home must not
+    /// The 3-hop forward in flight (eager protocols): the home must not
     /// process further requests for this block until the owner's
     /// `CopyBack` or `ForwardNack` arrives, or ownership could rotate
-    /// among requesters that never received data (a NACK livelock).
-    pub busy: bool,
+    /// among requesters that never received data (a NACK livelock). The
+    /// episode drops late 3-hop replies and detects forwards that can
+    /// never be served because the owner is itself blocked requesting
+    /// this line.
+    pub(crate) forward: Option<ForwardEp>,
+    /// Requests queued, with their arrival times, because the entry was
+    /// busy (3-hop in flight) or collecting acks. Real DASH NAKs these
+    /// back for retry; we queue them (stable and livelock-free) and charge
+    /// one NAK round trip when releasing, so hot-spot requests still pay
+    /// the contention penalty the paper describes.
+    pub(crate) parked: VecDeque<(Msg, Cycle)>,
+    /// BUSY-NACKs sent during the current busy episode (finite directory
+    /// request slots only; cleared when the episode resolves).
+    pub(crate) nacks: u32,
     /// Limited-pointer directories: more sharers than pointers — precise
     /// membership is lost and coherence actions must broadcast. Cleared
     /// when the block returns to Uncached.
@@ -268,7 +296,6 @@ impl DirEntry {
         writers: NodeSet,
         notified: NodeSet,
         pending: Option<AckCollection>,
-        busy: bool,
         overflow: bool,
     ) -> Result<Self, String> {
         if !(writers & !sharers).is_empty() {
@@ -277,7 +304,21 @@ impl DirEntry {
         if !(notified & !sharers).is_empty() {
             return Err("directory entry: notified must be a subset of sharers".into());
         }
-        Ok(DirEntry { sharers, writers, notified, pending, busy, overflow })
+        Ok(DirEntry { sharers, writers, notified, pending, overflow, ..DirEntry::default() })
+    }
+
+    /// An ack collection or a 3-hop forward is in flight: eager requests
+    /// for the block wait (parked or NACKed) until it resolves.
+    #[inline]
+    pub fn is_busy(&self) -> bool {
+        self.pending.is_some() || self.forward.is_some()
+    }
+
+    /// Is forward episode `ep` the one in flight? A message of a cancelled
+    /// or finished episode is stale.
+    #[inline]
+    pub(crate) fn forward_is(&self, ep: u64) -> bool {
+        self.forward.is_some_and(|f| f.id == ep)
     }
 
     /// Current derived state.

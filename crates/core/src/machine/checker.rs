@@ -275,7 +275,7 @@ impl Machine {
                 .is_some_and(|c| c.crashed.contains(self.home_of(lrc_sim::LineAddr(line))))
         };
         // LineMap iteration is already in ascending line order.
-        for (line, e) in self.dir.iter().filter(|(_, e)| e.pending.is_some() || e.busy) {
+        for (line, e) in self.dir.iter().filter(|(_, e)| e.is_busy()) {
             if home_crashed(line) {
                 continue;
             }
@@ -284,11 +284,11 @@ impl Machine {
                 awaiting: e.pending.as_ref().map_or(0, |pc| pc.awaiting),
             });
         }
-        for (line, q) in self.parked.iter() {
+        for (line, e) in self.dir.iter().filter(|(_, e)| !e.parked.is_empty()) {
             if home_crashed(line) {
                 continue;
             }
-            out.push(StuckState::ParkedForever { line, requests: q.len() });
+            out.push(StuckState::ParkedForever { line, requests: e.parked.len() });
         }
         if let Some(xm) = self.xmit.as_deref() {
             for m in &xm.gave_up {
@@ -381,8 +381,8 @@ impl Machine {
     /// order comes from event times, which the fingerprint leaves out, and
     /// the checker may fire any of them next. Forward-episode ids in
     /// messages are folded by the relation the handlers test them by, not
-    /// by value (`canonical_msg`), and the episode counter and
-    /// `busy_info` ids are left out.
+    /// by value (`canonical_msg`), and the episode counter and the
+    /// directory entries' episode ids are left out.
     pub fn fingerprint(&self) -> u64 {
         let mut h = FoldHasher::default();
         self.protocol.hash(&mut h);
@@ -410,31 +410,21 @@ impl Machine {
             node.barriers.state_hash().hash(&mut h);
         }
 
-        // LineMap iteration is already in ascending line order, so these
-        // folds are iteration-order independent by construction.
+        // LineMap iteration is already in ascending line order, so this
+        // fold is iteration-order independent by construction. Parked
+        // requests fold without their arrival times, and the NACK count is
+        // the budget the line's busy episode has spent.
         for (l, e) in self.dir.iter() {
-            (l, e.sharers(), e.writers(), e.notified(), e.busy, e.overflow).hash(&mut h);
+            (l, e.sharers(), e.writers(), e.notified(), e.overflow, e.nacks).hash(&mut h);
             match &e.pending {
                 Some(pc) => (pc.awaiting, &pc.waiters).hash(&mut h),
                 None => u32::MAX.hash(&mut h),
             }
-        }
-
-        for (l, q) in self.parked.iter() {
-            l.hash(&mut h);
-            for (m, _) in q {
+            e.forward.map(|f| (f.owner, f.requester, f.for_write, f.served)).hash(&mut h);
+            e.parked.len().hash(&mut h);
+            for (m, _) in &e.parked {
                 m.hash(&mut h);
             }
-        }
-
-        for (l, e) in self.busy_info.iter() {
-            (l, e.owner, e.requester, e.for_write, e.served).hash(&mut h);
-        }
-
-        // NACK budgets spent per line (finite directory request slots). An
-        // empty map folds nothing, so unbounded runs are unaffected.
-        for (l, &n) in self.nacks_given.iter() {
-            (l, n).hash(&mut h);
         }
         // The deterministic NACK choice point: until the `nack_nth`-th busy
         // encounter has happened, states differ by how close they are to the
@@ -492,7 +482,7 @@ impl Machine {
     /// the one relation the handlers test it by (1 if it holds, else 0).
     ///
     /// * `Forward`, `CopyBack`, `ForwardNack`: the id is its line's current
-    ///   episode (`busy_info`). Otherwise the owner drops the forward and
+    ///   episode (`DirEntry::forward`). Otherwise the owner drops the forward and
     ///   the home drops the reply. Ids only grow, so once this fails it
     ///   fails for good.
     /// * `ForwardCancel`: the id is that of the `Forward` parked at its
@@ -501,13 +491,13 @@ impl Machine {
     ///   still in flight is dropped on arrival and never parks.
     ///
     /// States that differ only in the raw ids of their messages and
-    /// `busy_info` entries therefore have the same future.
+    /// directory entries' episodes therefore have the same future.
     fn canonical_msg(&self, mut m: Msg) -> Msg {
         match &mut m.kind {
             MsgKind::Forward { line, ep, .. }
             | MsgKind::CopyBack { line, ep, .. }
             | MsgKind::ForwardNack { line, ep, .. } => {
-                *ep = u64::from(self.busy_info.get(line.0).is_some_and(|e| e.id == *ep));
+                *ep = u64::from(self.dir.get(line.0).is_some_and(|e| e.forward_is(*ep)));
             }
             MsgKind::ForwardCancel { line, ep } => {
                 let parked = self.nodes[m.dst].parked_forwards.get(&line.0);
@@ -537,8 +527,8 @@ impl Machine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::directory::ForwardEp;
     use crate::machine::xmit::{InFlight, XmitState};
-    use crate::machine::ForwardEp;
     use crate::node::Outstanding;
     use lrc_mem::LineState;
     use lrc_sim::{LineAddr, MachineConfig, Op, Protocol, Script};
@@ -618,7 +608,7 @@ mod tests {
         let shifted = |by: u64| {
             let mut m = machine();
             m.forward_seq = by + 2;
-            m.busy_info.insert(0, episode(by + 2));
+            m.dir.entry_or_default(0).forward = Some(episode(by + 2));
             let line = LineAddr(0);
             m.push_ev(0, 1, Event::Msg(forward(0, by + 2)));
             let copy_back = MsgKind::CopyBack { line, demoted_to_shared: false, ep: by + 1 };
@@ -661,7 +651,7 @@ mod tests {
         let current = |id: u64| {
             with(&|m| {
                 m.push_ev(0, 1, Event::Msg(forward(0, 7)));
-                m.busy_info.insert(0, episode(id));
+                m.dir.entry_or_default(0).forward = Some(episode(id));
             })
         };
         assert_ne!(current(7), current(8), "a forward's episode relation");

@@ -40,7 +40,7 @@
 
 use super::obs::Seen;
 use super::{Event, Machine};
-use crate::directory::NodeSet;
+use crate::directory::{ForwardEp, NodeSet};
 use crate::msg::{Msg, MsgKind, WriteGrant};
 use crate::node::{Node, ProcStatus};
 use lrc_mesh::CrashPlan;
@@ -336,28 +336,25 @@ impl Machine {
     /// was already recorded by the directory sweep. A dead *requester*
     /// frees the entry and tells the surviving owner to drop the forward.
     fn reclaim_busy_episodes(&mut self, t: Cycle, o: NodeId, dead: NodeId) {
-        let episodes: Vec<(u64, super::ForwardEp)> = self
-            .busy_info
+        let episodes: Vec<(u64, ForwardEp)> = self
+            .dir
             .iter()
+            .filter_map(|(l, e)| e.forward.map(|ep| (l, ep)))
             .filter(|&(l, ep)| {
                 self.home_of(LineAddr(l)) == o && (ep.owner == dead || ep.requester == dead)
             })
-            .map(|(l, ep)| (l, *ep))
             .collect();
         for (l, ep) in episodes {
             let line = LineAddr(l);
-            self.busy_info.remove(l);
+            let e = self.dir.get_mut(l).expect("an episode lives in its line's entry");
+            e.forward = None;
+            e.remove(dead);
             self.stats.crashes.forwards_cancelled += 1;
             if ep.owner == dead {
-                {
-                    let e = self.dir.entry_or_default(l);
-                    e.busy = false;
-                    e.remove(dead);
-                    if ep.for_write {
-                        e.add_writer(ep.requester);
-                    } else {
-                        e.add_sharer(ep.requester);
-                    }
+                if ep.for_write {
+                    e.add_writer(ep.requester);
+                } else {
+                    e.add_sharer(ep.requester);
                 }
                 let mem_done = self.nodes[o].mem.access(t, self.cfg.line_size as u64);
                 if ep.for_write {
@@ -377,11 +374,6 @@ impl Machine {
                 }
                 self.maybe_release_parked(mem_done, line);
             } else {
-                {
-                    let e = self.dir.entry_or_default(l);
-                    e.busy = false;
-                    e.remove(dead);
-                }
                 self.send(t, o, ep.owner, MsgKind::ForwardCancel { line, ep: ep.id });
                 self.maybe_release_parked(t, line);
             }
@@ -392,22 +384,18 @@ impl Machine {
     /// for those replies anymore.
     fn reclaim_parked(&mut self, t: Cycle, o: NodeId, dead: NodeId) {
         let lines: Vec<u64> = self
-            .parked
+            .dir
             .iter()
-            .filter(|&(l, q)| {
-                self.home_of(LineAddr(l)) == o && q.iter().any(|(m, _)| m.src == dead)
+            .filter(|&(l, e)| {
+                self.home_of(LineAddr(l)) == o && e.parked.iter().any(|(m, _)| m.src == dead)
             })
             .map(|(l, _)| l)
             .collect();
         for l in lines {
-            if let Some(q) = self.parked.get_mut(l) {
-                let before = q.len();
-                q.retain(|(m, _)| m.src != dead);
-                self.stats.crashes.parked_dropped += (before - q.len()) as u64;
-                if q.is_empty() {
-                    self.parked.remove(l);
-                }
-            }
+            let q = &mut self.dir.get_mut(l).expect("collected above").parked;
+            let before = q.len();
+            q.retain(|(m, _)| m.src != dead);
+            self.stats.crashes.parked_dropped += (before - q.len()) as u64;
             self.maybe_release_parked(t, LineAddr(l));
         }
     }

@@ -168,7 +168,7 @@ impl Machine {
                     continue;
                 }
                 let entry = self.dir.get(line.line.0);
-                if entry.is_some_and(|e| e.pending.is_some() || e.busy) {
+                if entry.is_some_and(|e| e.is_busy()) {
                     continue;
                 }
                 if !self.protocol.is_lazy() {

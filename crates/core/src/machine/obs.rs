@@ -402,8 +402,7 @@ impl Machine {
             let mut row = Vec::with_capacity(s.series.columns().len());
             row.push(t);
             row.push(obs.sends.saturating_sub(obs.recvs));
-            row.push(self.dir.iter().filter(|(_, e)| e.busy || e.pending.is_some()).count()
-                as u64);
+            row.push(self.dir.iter().filter(|(_, e)| e.is_busy()).count() as u64);
             row.push(self.queue.len() as u64);
             for p in 0..self.cfg.num_procs {
                 let (ni_in, ni_out) = self.net.ni_occupancy(t, p);

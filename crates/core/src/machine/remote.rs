@@ -235,11 +235,13 @@ impl Machine {
         let home = m.src;
         // A delivery-reordering mode (fault-plan retransmission, checker
         // exploration) can deliver a cancelled episode's Forward after its
-        // ForwardCancel; only then must we peek at the home's episode table
-        // to drop it on sight. Production runs never need the cross-node
-        // peek: a stale Forward always finds our own transaction outstanding
-        // (below) and parks until the cancel lands.
-        if self.delivery_reordering_possible() && self.busy_info.get(line.0).is_none_or(|e| e.id != ep) {
+        // ForwardCancel; only then must we peek at the home's directory
+        // entry to drop it on sight. Production runs never need the
+        // cross-node peek: a stale Forward always finds our own transaction
+        // outstanding (below) and parks until the cancel lands.
+        if self.delivery_reordering_possible()
+            && self.dir.get(line.0).is_none_or(|e| !e.forward_is(ep))
+        {
             return;
         }
         let done = self.nodes[p].pp.occupy(t, self.cfg.dir_cost(self.protocol));
@@ -265,8 +267,8 @@ impl Machine {
         // consulted — our copy-back reaches the home ahead of any later
         // request of ours on the same channel — so the write is skipped.
         if self.delivery_reordering_possible() {
-            if let Some(e) = self.busy_info.get_mut(line.0) {
-                e.served = true;
+            if let Some(f) = self.dir.get_mut(line.0).and_then(|e| e.forward.as_mut()) {
+                f.served = true;
             }
         }
         // The copy-back carries the full line: the owner's unflushed dirty

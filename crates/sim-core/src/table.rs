@@ -7,9 +7,9 @@
 //!
 //! * [`LineMap`] — a 4-byte slot per key of range into values packed in
 //!   insert order, for every table keyed by line, page or word number (the
-//!   directory and the home-side tables beside it, the classifier's blocks,
-//!   the race detector's words, the value tracker's home image and
-//!   unflushed records). O(1) access with no hashing, O(1) removal by swap,
+//!   directory, whose entries are each line's whole home record, the page
+//!   homes, the classifier's blocks, the race detector's words, the value
+//!   tracker's home image and unflushed records). O(1) access with no hashing, O(1) removal by swap,
 //!   and iteration in ascending key order, which the deterministic
 //!   fingerprint and listing paths rely on.
 //! * [`FxHashMap`] / [`FxHashSet`] — `std` maps with the Fx polynomial
