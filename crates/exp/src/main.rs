@@ -148,8 +148,12 @@ fn run_cmd(args: &[String]) -> i32 {
     if ids.is_empty() {
         return usage();
     }
-
-    // Validate every output path before any (expensive) simulation runs.
+    // Check every id, and then every output path, before any (expensive)
+    // simulation runs: a typo must not cost the experiments before it.
+    if let Some(id) = ids.iter().find(|id| !experiments::ALL_IDS.contains(&id.as_str())) {
+        eprintln!("unknown experiment '{id}' (have: {})", experiments::ALL_IDS.join(" "));
+        return 2;
+    }
     if let Some(dir) = &json_dir {
         checked_dir("--json", dir);
     }
@@ -166,10 +170,7 @@ fn run_cmd(args: &[String]) -> i32 {
             eprintln!("== seed {seed}");
         }
         for id in &ids {
-            let Some(report) = experiments::run_by_id(id, &runner, params) else {
-                eprintln!("unknown experiment '{id}' (have: {})", experiments::ALL_IDS.join(" "));
-                return 2;
-            };
+            let report = experiments::run_by_id(id, &runner, params).expect("a checked id");
             // The canonical seed keeps the legacy behavior: print the
             // paper-style tables and write the standalone JSON files.
             if seed == 0 {

@@ -79,3 +79,18 @@ fn bad_flag_values_are_usage_errors_naming_the_flag() {
         assert!(stderr.contains(flag), "{bin} {args:?} must name {flag}: {stderr}");
     }
 }
+
+/// Experiment ids are checked before any experiment runs: `table1 nope`
+/// must exit 2 naming `nope` without printing Table 1 first.
+#[test]
+fn an_unknown_experiment_id_fails_before_any_experiment_runs() {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_lrc-exp"))
+        .args(["table1", "nope"])
+        .output()
+        .expect("binary starts");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.is_empty(), "no experiment may run: {stdout}");
+    assert!(stderr.contains("unknown experiment 'nope'"), "{stderr}");
+}
